@@ -1,67 +1,107 @@
 #include "common/jsonl.hh"
 
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <ostream>
-#include <sstream>
 
 namespace lbp {
+
+namespace {
+
+/**
+ * Escape @p s for a JSON string literal (quotes excluded), handing
+ * each maximal run of bytes that need no escaping, and each escape
+ * sequence, to @p put(const char *, std::size_t) as one piece.
+ */
+template <class Put>
+void
+escapeRuns(std::string_view s, Put &&put)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char u = static_cast<unsigned char>(s[i]);
+        if (u >= 0x20 && u != '"' && u != '\\')
+            continue;
+        put(s.data() + run, i - run);
+        run = i + 1;
+        char esc[6] = {'\\', 0, 0, 0, 0, 0};
+        std::size_t n = 2;
+        switch (u) {
+          case '"':
+          case '\\':
+            esc[1] = static_cast<char>(u);
+            break;
+          case '\b':
+            esc[1] = 'b';
+            break;
+          case '\f':
+            esc[1] = 'f';
+            break;
+          case '\n':
+            esc[1] = 'n';
+            break;
+          case '\r':
+            esc[1] = 'r';
+            break;
+          case '\t':
+            esc[1] = 't';
+            break;
+          default:
+            esc[1] = 'u';
+            esc[2] = '0';
+            esc[3] = '0';
+            esc[4] = hex[u >> 4];
+            esc[5] = hex[u & 0xf];
+            n = 6;
+        }
+        put(esc, n);
+    }
+    put(s.data() + run, s.size() - run);
+}
+
+} // namespace
 
 void
 jsonEscape(std::ostream &os, std::string_view s)
 {
-    os << '"';
-    for (const char c : s) {
-        const unsigned char u = static_cast<unsigned char>(c);
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\b':
-            os << "\\b";
-            break;
-          case '\f':
-            os << "\\f";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (u < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
+    os.put('"');
+    escapeRuns(s, [&os](const char *p, std::size_t n) {
+        os.write(p, static_cast<std::streamsize>(n));
+    });
+    os.put('"');
 }
 
 std::string
 jsonQuote(std::string_view s)
 {
-    std::ostringstream os;
-    jsonEscape(os, s);
-    return os.str();
+    std::string out;
+    out.reserve(s.size() + 2);
+    out += '"';
+    escapeRuns(s, [&out](const char *p, std::size_t n) {
+        out.append(p, n);
+    });
+    out += '"';
+    return out;
+}
+
+void
+appendJsonNumber(std::string &out, double v)
+{
+    // The standard defines this call as printf("%.17g"): every IEEE
+    // double round-trips, and inf/nan render as printf renders them.
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 std::string
 jsonNumber(double v)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
 }
 
 /**
@@ -165,17 +205,25 @@ class JsonParser
     {
         ++pos_;  // opening quote
         while (true) {
+            // Copy the run of plain bytes before the next quote,
+            // backslash or control character in one append.
+            std::size_t end = pos_;
+            while (end < text_.size()) {
+                const unsigned char u =
+                    static_cast<unsigned char>(text_[end]);
+                if (u == '"' || u == '\\' || u < 0x20)
+                    break;
+                ++end;
+            }
+            out.append(text_.data() + pos_, end - pos_);
+            pos_ = end;
             if (pos_ >= text_.size())
                 return fail("unterminated string");
             const char c = text_[pos_++];
             if (c == '"')
                 return true;
-            if (static_cast<unsigned char>(c) < 0x20)
+            if (c != '\\')
                 return fail("raw control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 return fail("truncated escape");
             const char e = text_[pos_++];

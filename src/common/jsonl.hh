@@ -30,7 +30,8 @@ namespace lbp {
  * with `"` `\` and every control character below 0x20 escaped (named
  * escapes for \b \f \n \r \t, \u00XX for the rest). A superset of the
  * escaping the sweep surfaces historically used — existing outputs
- * carry no control characters, so their bytes are unchanged.
+ * carry no control characters, so their bytes are unchanged. Each run
+ * of bytes that needs no escaping goes to @p os in one write.
  */
 void jsonEscape(std::ostream &os, std::string_view s);
 
@@ -38,10 +39,15 @@ void jsonEscape(std::ostream &os, std::string_view s);
 std::string jsonQuote(std::string_view s);
 
 /**
- * Deterministic, lossless double rendering (%.17g round-trips IEEE
- * doubles). Every JSON surface that must emit identical bytes across
+ * Append @p v to @p out as printf("%.17g") renders it (via
+ * std::to_chars, general format, precision 17): deterministic and
+ * lossless, since 17 significant digits round-trip every IEEE double.
+ * Every JSON and CSV surface that must emit identical bytes across
  * processes — warm vs cold sweeps, server vs local CSV — uses this.
  */
+void appendJsonNumber(std::string &out, double v);
+
+/** appendJsonNumber into a fresh string. */
 std::string jsonNumber(double v);
 
 /**

@@ -47,9 +47,11 @@ TcpConn::~TcpConn()
 }
 
 TcpConn::TcpConn(TcpConn &&other) noexcept
-    : fd_(other.fd_), buf_(std::move(other.buf_))
+    : fd_(other.fd_), buf_(std::move(other.buf_)), head_(other.head_),
+      scanned_(other.scanned_)
 {
     other.fd_ = -1;
+    other.head_ = other.scanned_ = 0;
 }
 
 TcpConn &
@@ -59,7 +61,10 @@ TcpConn::operator=(TcpConn &&other) noexcept
         closeConn();
         fd_ = other.fd_;
         buf_ = std::move(other.buf_);
+        head_ = other.head_;
+        scanned_ = other.scanned_;
         other.fd_ = -1;
+        other.head_ = other.scanned_ = 0;
     }
     return *this;
 }
@@ -93,14 +98,35 @@ TcpConn::sendAll(std::string_view data)
 bool
 TcpConn::nextLine(std::string &line)
 {
-    const std::size_t nl = buf_.find('\n');
-    if (nl == std::string::npos)
+    // Bytes before scanned_ hold no newline: search only new ones.
+    const std::size_t nl = buf_.find('\n', scanned_);
+    if (nl == std::string::npos) {
+        scanned_ = buf_.size();
         return false;
-    line.assign(buf_, 0, nl);
-    if (!line.empty() && line.back() == '\r')
-        line.pop_back();
-    buf_.erase(0, nl + 1);
+    }
+    std::size_t end = nl;
+    if (end > head_ && buf_[end - 1] == '\r')
+        --end;
+    line.assign(buf_, head_, end - head_);
+    head_ = scanned_ = nl + 1;
     return true;
+}
+
+ssize_t
+TcpConn::recvChunk(int flags)
+{
+    // Drop consumed lines once they are at least half the buffer, so
+    // compaction stays linear in the bytes received.
+    if (head_ > 0 && head_ >= buf_.size() - head_) {
+        buf_.erase(0, head_);
+        scanned_ -= head_;
+        head_ = 0;
+    }
+    char chunk[64 * 1024];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), flags);
+    if (n > 0)
+        buf_.append(chunk, static_cast<std::size_t>(n));
+    return n;
 }
 
 int
@@ -118,8 +144,7 @@ TcpConn::readLine(std::string &line, int timeoutMs)
                 continue;
             return -1;
         }
-        char chunk[4096];
-        const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+        const ssize_t n = recvChunk(0);
         if (n == 0)
             return -1;  // EOF; any partial line is discarded
         if (n < 0) {
@@ -128,7 +153,6 @@ TcpConn::readLine(std::string &line, int timeoutMs)
                 continue;
             return -1;
         }
-        buf_.append(chunk, static_cast<std::size_t>(n));
     }
 }
 
@@ -137,11 +161,8 @@ TcpConn::fillAvailable()
 {
     bool got = false;
     while (true) {
-        char chunk[4096];
-        const ssize_t n =
-            ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
+        const ssize_t n = recvChunk(MSG_DONTWAIT);
         if (n > 0) {
-            buf_.append(chunk, static_cast<std::size_t>(n));
             got = true;
             continue;
         }

@@ -16,6 +16,8 @@
 #ifndef LBP_COMMON_SOCKET_HH
 #define LBP_COMMON_SOCKET_HH
 
+#include <sys/types.h>
+
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -74,8 +76,14 @@ class TcpConn
     void closeConn();
 
   private:
+    /** One recv() of up to 64 KiB onto buf_ (after compacting away
+     *  consumed lines); recv()'s return value. */
+    ssize_t recvChunk(int flags);
+
     int fd_ = -1;
-    std::string buf_;
+    std::string buf_;          ///< received bytes not yet compacted
+    std::size_t head_ = 0;     ///< start of the first unconsumed line
+    std::size_t scanned_ = 0;  ///< buf_[head_, scanned_) has no '\n'
 };
 
 /**

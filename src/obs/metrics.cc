@@ -2,8 +2,6 @@
 
 #include <ostream>
 
-#include <cstdio>
-
 #include "common/jsonl.hh"
 #include "serve/protocol.hh"
 #include "sim/result_store.hh"
@@ -445,6 +443,11 @@ serveMetrics()
         {"serve_store_gc_passes", "count",
          "Idle-time result-store garbage-collection passes", true,
          [](const ServeStats &s) { return u64Field(s.gcPasses); }},
+        {"serve_suite_builds", "count",
+         "Workload suites built for submits (a repeat selection reuses "
+         "the resident suite)",
+         true,
+         [](const ServeStats &s) { return u64Field(s.suiteBuilds); }},
     };
     return table;
 }
@@ -563,13 +566,10 @@ promEscape(std::ostream &os, const std::string &s, bool label)
 void
 promValue(std::ostream &os, double value, bool integral)
 {
-    if (integral) {
+    if (integral)
         os << static_cast<std::uint64_t>(value);
-    } else {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", value);
-        os << buf;
-    }
+    else
+        os << jsonNumber(value);
 }
 
 void

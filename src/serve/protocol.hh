@@ -77,6 +77,7 @@ struct ServeStats
     std::uint64_t scrapesServed = 0;    ///< metrics frames + HTTP scrapes
     std::uint64_t heartbeatsEmitted = 0;  ///< heartbeat event records
     std::uint64_t gcPasses = 0;  ///< idle-time store gc() invocations
+    std::uint64_t suiteBuilds = 0;  ///< suites built for submits
 };
 
 /**

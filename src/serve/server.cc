@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <streambuf>
@@ -62,31 +63,30 @@ class LineSinkBuf : public std::streambuf
     int_type
     overflow(int_type ch) override
     {
-        if (ch != traits_type::eof())
-            push(traits_type::to_char_type(ch));
+        if (ch != traits_type::eof()) {
+            const char c = traits_type::to_char_type(ch);
+            xsputn(&c, 1);
+        }
         return ch;
     }
 
     std::streamsize
     xsputn(const char *s, std::streamsize n) override
     {
-        for (std::streamsize i = 0; i < n; ++i)
-            push(s[i]);
+        // Hand over every completed line; keep the unterminated tail.
+        const char *end = s + n;
+        while (const char *nl = static_cast<const char *>(std::memchr(
+                   s, '\n', static_cast<std::size_t>(end - s)))) {
+            line_.append(s, nl);
+            sink_(std::move(line_));
+            line_.clear();
+            s = nl + 1;
+        }
+        line_.append(s, end);
         return n;
     }
 
   private:
-    void
-    push(char c)
-    {
-        if (c == '\n') {
-            sink_(std::move(line_));
-            line_.clear();
-        } else {
-            line_ += c;
-        }
-    }
-
     std::function<void(std::string)> sink_;
     std::string line_;
 };
@@ -145,11 +145,14 @@ struct Server::Impl
         bool dead = false;
     };
 
+    /** A built suite, shared by the resident slot and requests. */
+    using SuitePtr = std::shared_ptr<const std::vector<Program>>;
+
     struct Request
     {
         std::string key;      ///< sweepRequestKey() identity
         SweepSpec spec;
-        std::vector<Program> suite;
+        SuitePtr suite;       ///< read only by this request's sweep
         std::uint64_t cells = 0;
         /** Subscribers as (client fd, request id) pairs. */
         std::vector<std::pair<int, std::string>> subs;
@@ -183,6 +186,15 @@ struct Server::Impl
     std::map<int, ClientState> clients;  ///< keyed by descriptor
     std::deque<ReqPtr> queue;
     ReqPtr running;
+
+    /**
+     * The most recently built suite and the options that built it.
+     * Repeat submits of one selection reuse it; another selection
+     * replaces it. A request holds its own pointer, so replacing the
+     * slot never pulls a suite from under a running sweep.
+     */
+    SuitePtr residentSuite;
+    SuiteOptions residentOpts;
 
     bool draining = false;
     Stopwatch drainSw;
@@ -341,7 +353,7 @@ struct Server::Impl
             so.eventLog = &events;
             so.traceId = req.traceId;
             const SweepResult res =
-                runSweep(req.suite, req.spec.configs, so);
+                runSweep(*req.suite, req.spec.configs, so);
             p.stats = res.stats;
             p.configResults = res.configResults;
             p.body = renderResultBody(res, req.spec.configs);
@@ -389,13 +401,13 @@ struct Server::Impl
         os << "],\"csv\":";
         std::ostringstream csv;
         writeSweepCsv(csv, res, configs);
-        jsonEscape(os, csv.str());
+        jsonEscape(os, csv.view());
         os << ",\"manifest\":";
         std::ostringstream man;
         writeSweepManifest(man, res, configs);
-        jsonEscape(os, man.str());
+        jsonEscape(os, man.view());
         os << '}';
-        return os.str();
+        return std::move(os).str();
     }
 
     // ----- main-loop side -----------------------------------------
@@ -735,9 +747,9 @@ struct Server::Impl
             return;
         }
         finalizeSweepSpec(spec);
-        std::vector<Program> suite = buildSpecSuite(spec);
+        const SuitePtr suite = suiteFor(spec);
         const std::uint64_t cells =
-            static_cast<std::uint64_t>(suite.size()) *
+            static_cast<std::uint64_t>(suite->size()) *
             spec.configs.size();
         if (cells == 0) {
             ++st.requestsRejected;
@@ -745,7 +757,7 @@ struct Server::Impl
                          "empty sweep (no configs or no workloads)");
             return;
         }
-        const std::string key = sweepRequestKey(suite, spec.configs);
+        const std::string key = sweepRequestKey(*suite, spec.configs);
 
         // Cross-client dedup: an identical request that is queued or
         // in flight gains a subscriber instead of a new simulation.
@@ -802,7 +814,7 @@ struct Server::Impl
         ReqPtr req = std::make_shared<Request>();
         req->key = key;
         req->spec = std::move(spec);
-        req->suite = std::move(suite);
+        req->suite = suite;
         req->cells = cells;
         req->subs.emplace_back(fd, id);
         ++reqSeq;
@@ -821,6 +833,23 @@ struct Server::Impl
                    jsonQuote(req->traceId) + ",\"cells\":" +
                    std::to_string(cells) + ",\"queue_depth\":" +
                    std::to_string(pendingDepth()) + "}");
+    }
+
+    /** The resident suite for @p spec's selection, built (and made
+     *  resident) on the event loop when the selection changed. */
+    SuitePtr
+    suiteFor(const SweepSpec &spec)
+    {
+        const SuiteOptions want = specSuiteOptions(spec);
+        // Every SuiteOptions field: equal options build equal suites.
+        if (!residentSuite || want.seed != residentOpts.seed ||
+            want.maxWorkloads != residentOpts.maxWorkloads) {
+            residentSuite = std::make_shared<const std::vector<Program>>(
+                buildSpecSuite(spec));
+            residentOpts = want;
+            ++st.suiteBuilds;
+        }
+        return residentSuite;
     }
 
     void

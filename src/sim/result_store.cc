@@ -1,14 +1,17 @@
 #include "sim/result_store.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -47,57 +50,170 @@ appendF64(std::string &out, double v)
     out += buf;
 }
 
-/** Pull the next space-separated token off @p is into a u64. */
-bool
-readU64(std::istringstream &is, std::uint64_t &v)
+/**
+ * Cursor over one serialized entry held in memory: hands out lines as
+ * views, so parsing copies nothing but the workload names.
+ */
+class EntryLines
 {
-    std::string tok;
-    if (!(is >> tok))
-        return false;
-    char *end = nullptr;
-    v = std::strtoull(tok.c_str(), &end, 10);
-    return end && *end == '\0';
-}
+  public:
+    explicit EntryLines(std::string_view text) : rest_(text) {}
 
-bool
-readF64(std::istringstream &is, double &v)
-{
-    std::string tok;
-    if (!(is >> tok))
-        return false;
-    char *end = nullptr;
-    v = std::strtod(tok.c_str(), &end);
-    return end && *end == '\0';
-}
-
-/** Line must start with @p tag followed by a space (or be exactly it). */
-bool
-stripTag(const std::string &line, const char *tag, std::string &rest)
-{
-    const std::size_t n = std::strlen(tag);
-    if (line.compare(0, n, tag) != 0)
-        return false;
-    if (line.size() == n) {
-        rest.clear();
+    /** Next line without its '\n'; false once the text is used up. */
+    bool
+    next(std::string_view &line)
+    {
+        if (rest_.empty())
+            return false;
+        const std::size_t nl = rest_.find('\n');
+        line = rest_.substr(0, nl);
+        rest_.remove_prefix(nl == std::string_view::npos ? rest_.size()
+                                                         : nl + 1);
         return true;
     }
-    if (line[n] != ' ')
-        return false;
-    rest = line.substr(n + 1);
+
+    /** Next line, which must be @p tag then one space then the rest
+     *  (returned in @p rest). */
+    bool
+    tagged(std::string_view tag, std::string_view &rest)
+    {
+        std::string_view line;
+        if (!next(line) || line.size() <= tag.size() ||
+            !line.starts_with(tag) || line[tag.size()] != ' ')
+            return false;
+        rest = line.substr(tag.size() + 1);
+        return true;
+    }
+
+    bool atEnd() const { return rest_.empty(); }
+
+  private:
+    std::string_view rest_;
+};
+
+/** Split the next space-delimited token off the front of @p fields;
+ *  false when no non-empty token is left. */
+bool
+takeToken(std::string_view &fields, std::string_view &tok)
+{
+    const std::size_t sp = fields.find(' ');
+    tok = fields.substr(0, sp);
+    fields.remove_prefix(sp == std::string_view::npos ? fields.size()
+                                                      : sp + 1);
+    return !tok.empty();
+}
+
+/** @p tok as plain decimal digits; no sign, no overflow. */
+bool
+parseU64(std::string_view tok, std::uint64_t &v)
+{
+    const char *end = tok.data() + tok.size();
+    const std::from_chars_result r = std::from_chars(tok.data(), end, v);
+    return !tok.empty() && r.ec == std::errc() && r.ptr == end;
+}
+
+/**
+ * @p tok as printf("%a") writes it: an optional '-', then "inf",
+ * "nan", or "0x" and a hex significand with a binary exponent. The
+ * prefix is stripped here because std::from_chars' hex format rejects
+ * it; inf and nan are mapped by hand so a NaN keeps the exact bits
+ * strtod gave it.
+ */
+bool
+parseF64(std::string_view tok, double &v)
+{
+    const bool neg = tok.starts_with('-');
+    if (neg)
+        tok.remove_prefix(1);
+    if (tok == "inf") {
+        v = std::numeric_limits<double>::infinity();
+    } else if (tok == "nan") {
+        v = std::numeric_limits<double>::quiet_NaN();
+    } else {
+        if (!tok.starts_with("0x"))
+            return false;
+        tok.remove_prefix(2);
+        // from_chars would take a second sign or an "inf" here.
+        if (tok.empty() || !std::isxdigit(static_cast<unsigned char>(
+                               tok.front())))
+            return false;
+        const char *end = tok.data() + tok.size();
+        const std::from_chars_result r = std::from_chars(
+            tok.data(), end, v, std::chars_format::hex);
+        if (r.ec != std::errc() || r.ptr != end)
+            return false;
+    }
+    if (neg)
+        v = -v;
     return true;
 }
 
-/** Fingerprint recorded in the entry at @p path ("unreadable" when the
- *  header cannot be parsed) — attribution for eviction audits. */
+/** Parse exactly the fields of @p line, in order, into @p out. */
+bool
+parseU64s(std::string_view line,
+          std::initializer_list<std::uint64_t *> out)
+{
+    std::string_view tok;
+    for (std::uint64_t *v : out)
+        if (!takeToken(line, tok) || !parseU64(tok, *v))
+            return false;
+    return line.empty();
+}
+
+bool
+parseF64s(std::string_view line, std::initializer_list<double *> out)
+{
+    std::string_view tok;
+    for (double *v : out)
+        if (!takeToken(line, tok) || !parseF64(tok, *v))
+            return false;
+    return line.empty();
+}
+
+/** Workload count a suite key records in its leading "n=<N>;" field. */
+bool
+suiteKeyRuns(std::string_view suite_key, std::uint64_t &n)
+{
+    if (!suite_key.starts_with("n="))
+        return false;
+    suite_key.remove_prefix(2);
+    return parseU64(suite_key.substr(0, suite_key.find(';')), n);
+}
+
+/** Whole file at @p path into @p text; false when it cannot be read. */
+bool
+readFile(const std::filesystem::path &path, std::string &text)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return false;
+    const std::streamoff size = in.tellg();
+    if (size < 0)
+        return false;
+    text.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    return static_cast<bool>(
+        in.read(text.data(), static_cast<std::streamsize>(size)));
+}
+
+/** Fingerprint an entry records ("unreadable" when its header cannot
+ *  be parsed) — attribution for eviction audits. */
+std::string
+entryFingerprint(std::string_view text)
+{
+    EntryLines lines(text);
+    std::string_view line, rest;
+    if (lines.next(line) && line == kMagic &&
+        lines.tagged("fingerprint", rest))
+        return std::string(rest);
+    return "unreadable";
+}
+
 std::string
 readEntryFingerprint(const std::filesystem::path &path)
 {
-    std::ifstream in(path);
-    std::string line, rest;
-    if (in && std::getline(in, line) && line == kMagic &&
-        std::getline(in, line) && stripTag(line, "fingerprint", rest))
-        return rest;
-    return "unreadable";
+    std::string text;
+    return readFile(path, text) ? entryFingerprint(text) : "unreadable";
 }
 
 /** File size with errors collapsed to zero. */
@@ -204,115 +320,87 @@ serializeSuiteResult(std::ostream &os, const std::string &fingerprint,
 }
 
 std::unique_ptr<SuiteResult>
-deserializeSuiteResult(std::istream &is,
+deserializeSuiteResult(std::string_view entry,
                        const std::string &fingerprint,
                        const std::string &suite_key,
                        const std::string &config_key)
 {
-    std::string line, rest;
-    if (!std::getline(is, line) || line != kMagic)
+    EntryLines lines(entry);
+    std::string_view line, rest;
+    if (!lines.next(line) || line != kMagic)
         return nullptr;
-    if (!std::getline(is, line) ||
-        !stripTag(line, "fingerprint", rest) || rest != fingerprint)
+    if (!lines.tagged("fingerprint", rest) || rest != fingerprint)
         return nullptr;
-    if (!std::getline(is, line) || !stripTag(line, "suite", rest) ||
-        rest != suite_key)
+    if (!lines.tagged("suite", rest) || rest != suite_key)
         return nullptr;
-    if (!std::getline(is, line) || !stripTag(line, "config", rest) ||
-        rest != config_key)
+    if (!lines.tagged("config", rest) || rest != config_key)
         return nullptr;
 
     auto res = std::make_unique<SuiteResult>();
-    if (!std::getline(is, line) || !stripTag(line, "telemetry", rest))
+    std::string_view tok;
+    std::uint64_t simInstrs = 0;
+    // The label is the rest of the line and may itself hold spaces.
+    if (!lines.tagged("telemetry", rest) || !takeToken(rest, tok) ||
+        !parseU64(tok, simInstrs))
         return nullptr;
-    {
-        std::istringstream ls(rest);
-        if (!readU64(ls, res->telemetry.simInstrs))
-            return nullptr;
-        std::string label;
-        std::getline(ls, label);
-        if (!label.empty() && label.front() == ' ')
-            label.erase(0, 1);
-        res->telemetry.label = label;
-        // A loaded entry performed no simulation in this process.
-        res->telemetry.memoHit = true;
-        res->telemetry.wallSeconds = 0.0;
-        res->telemetry.simInstrs = 0;
-    }
+    res->telemetry.label = std::string(rest);
+    // A loaded entry performed no simulation in this process.
+    res->telemetry.memoHit = true;
+    res->telemetry.wallSeconds = 0.0;
+    res->telemetry.simInstrs = 0;
 
-    if (!std::getline(is, line) || !stripTag(line, "runs", rest))
+    // The run count must be the one the (already matched) suite key
+    // records, so a corrupt count can neither pass nor size the
+    // allocation below.
+    std::uint64_t n = 0, expected = 0;
+    if (!lines.tagged("runs", rest) || !parseU64(rest, n) ||
+        !suiteKeyRuns(suite_key, expected) || n != expected)
         return nullptr;
-    const std::uint64_t n = std::strtoull(rest.c_str(), nullptr, 10);
     res->runs.resize(n);
     res->telemetry.workloads = n;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        RunResult &r = res->runs[i];
-        if (!std::getline(is, line) || !stripTag(line, "run", rest))
+    for (RunResult &r : res->runs) {
+        if (!lines.tagged("run", rest))
             return nullptr;
         const std::size_t bar = rest.find('|');
-        if (bar == std::string::npos)
+        if (bar == std::string_view::npos)
             return nullptr;
-        r.workload = rest.substr(0, bar);
-        r.category = rest.substr(bar + 1);
+        r.workload = std::string(rest.substr(0, bar));
+        r.category = std::string(rest.substr(bar + 1));
 
-        if (!std::getline(is, line) || !stripTag(line, "cs", rest))
+        if (!lines.tagged("cs", rest) ||
+            !parseU64s(rest, {&r.stats.cycles, &r.stats.retiredInstrs,
+                              &r.stats.retiredCond, &r.stats.mispredicts,
+                              &r.stats.earlyResteers,
+                              &r.stats.wrongPathFetched,
+                              &r.stats.btbMisses,
+                              &r.stats.fetchedInstrs}))
             return nullptr;
-        std::istringstream cs(rest);
-        if (!readU64(cs, r.stats.cycles) ||
-            !readU64(cs, r.stats.retiredInstrs) ||
-            !readU64(cs, r.stats.retiredCond) ||
-            !readU64(cs, r.stats.mispredicts) ||
-            !readU64(cs, r.stats.earlyResteers) ||
-            !readU64(cs, r.stats.wrongPathFetched) ||
-            !readU64(cs, r.stats.btbMisses) ||
-            !readU64(cs, r.stats.fetchedInstrs))
+        if (!lines.tagged("rc", rest) ||
+            !parseU64s(rest, {&r.overrides, &r.overridesCorrect,
+                              &r.repairs, &r.repairWrites,
+                              &r.earlyResteers, &r.earlyResteersWrong,
+                              &r.uncheckpointedMispredicts,
+                              &r.deniedPredictions,
+                              &r.skippedSpecUpdates,
+                              &r.maxRepairsNeeded}))
             return nullptr;
-
-        if (!std::getline(is, line) || !stripTag(line, "rc", rest))
+        if (!lines.tagged("au", rest) ||
+            !parseU64s(rest, {&r.auditChecks, &r.auditViolations,
+                              &r.auditResyncs, &r.auditSkipped,
+                              &r.auditUncovered}))
             return nullptr;
-        std::istringstream rc(rest);
-        if (!readU64(rc, r.overrides) ||
-            !readU64(rc, r.overridesCorrect) ||
-            !readU64(rc, r.repairs) || !readU64(rc, r.repairWrites) ||
-            !readU64(rc, r.earlyResteers) ||
-            !readU64(rc, r.earlyResteersWrong) ||
-            !readU64(rc, r.uncheckpointedMispredicts) ||
-            !readU64(rc, r.deniedPredictions) ||
-            !readU64(rc, r.skippedSpecUpdates) ||
-            !readU64(rc, r.maxRepairsNeeded))
+        if (!lines.tagged("ca", rest) ||
+            !parseU64s(rest, {&r.cacheAccesses, &r.cacheMisses,
+                              &r.cachePrefetchFills}))
             return nullptr;
-
-        if (!std::getline(is, line) || !stripTag(line, "au", rest))
-            return nullptr;
-        std::istringstream au(rest);
-        if (!readU64(au, r.auditChecks) ||
-            !readU64(au, r.auditViolations) ||
-            !readU64(au, r.auditResyncs) ||
-            !readU64(au, r.auditSkipped) ||
-            !readU64(au, r.auditUncovered))
-            return nullptr;
-
-        if (!std::getline(is, line) || !stripTag(line, "ca", rest))
-            return nullptr;
-        std::istringstream ca(rest);
-        if (!readU64(ca, r.cacheAccesses) ||
-            !readU64(ca, r.cacheMisses) ||
-            !readU64(ca, r.cachePrefetchFills))
-            return nullptr;
-
-        if (!std::getline(is, line) || !stripTag(line, "fp", rest))
-            return nullptr;
-        std::istringstream fp(rest);
-        if (!readF64(fp, r.ipc) || !readF64(fp, r.mpki) ||
-            !readF64(fp, r.avgRepairsNeeded) ||
-            !readF64(fp, r.avgWalkLength) ||
-            !readF64(fp, r.avgRepairWrites) ||
-            !readF64(fp, r.avgRepairCycles) ||
-            !readF64(fp, r.tageKB) || !readF64(fp, r.localKB) ||
-            !readF64(fp, r.repairKB))
+        if (!lines.tagged("fp", rest) ||
+            !parseF64s(rest, {&r.ipc, &r.mpki, &r.avgRepairsNeeded,
+                              &r.avgWalkLength, &r.avgRepairWrites,
+                              &r.avgRepairCycles, &r.tageKB,
+                              &r.localKB, &r.repairKB}))
             return nullptr;
     }
-    if (!std::getline(is, line) || line != "end")
+    if (!lines.next(line) || line != "end" || !lines.atEnd())
         return nullptr;
     return res;
 }
@@ -341,24 +429,24 @@ ResultStore::load(const std::string &suite_key,
         entryFileName(fp, suite_key, config_key);
 
     std::lock_guard<std::mutex> lk(mu_);
-    std::ifstream in(path);
-    if (!in) {
+    std::string text;
+    if (!readFile(path, text)) {
         ++stats_.misses;
         ++fps_[fp].misses;
         return nullptr;
     }
-    auto res = deserializeSuiteResult(in, fp, suite_key, config_key);
+    auto res = deserializeSuiteResult(text, fp, suite_key, config_key);
     if (!res) {
-        // Stale (old fingerprint / collision / truncation): the entry
-        // can never be used again under this build, so remove it —
-        // counted, attributed to the fingerprint it recorded, and
-        // logged on the audit trail (no more silent unlinks).
-        in.close();
+        // Stale (old fingerprint / collision / truncation / corrupt
+        // field): the entry can never be used again under this build,
+        // so remove it — counted, attributed to the fingerprint it
+        // recorded, and logged on the audit trail (no more silent
+        // unlinks).
         StoreAuditRecord rec;
         rec.file = path.filename().string();
         rec.reason = "stale";
-        rec.fingerprint = readEntryFingerprint(path);
-        rec.bytes = fileBytes(path);
+        rec.fingerprint = entryFingerprint(text);
+        rec.bytes = text.size();
         ++stats_.stale;
         ++stats_.misses;
         ++fps_[fp].misses;
@@ -369,11 +457,10 @@ ResultStore::load(const std::string &suite_key,
         return nullptr;
     }
     ++stats_.hits;
-    const std::uint64_t bytes = fileBytes(path);
-    stats_.bytesRead += bytes;
+    stats_.bytesRead += text.size();
     FingerprintStats &fstat = fps_[fp];
     ++fstat.hits;
-    fstat.bytes += bytes;
+    fstat.bytes += text.size();
     return res;
 }
 

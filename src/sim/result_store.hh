@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -60,14 +61,18 @@ void serializeSuiteResult(std::ostream &os,
                           const SuiteResult &res);
 
 /**
- * Parse a serialized entry, validating the fingerprint and both keys
- * against the expected values. Returns null on any mismatch or parse
- * error (the caller treats that as a stale entry). The returned
- * result's telemetry is marked as a store hit (no wall time, no
- * simulated instructions).
+ * Parse a serialized entry held in memory, validating the fingerprint
+ * and both keys against the expected values. Strict: the run count
+ * must equal the suite key's `n=`, every integer field must be plain
+ * decimal digits that fit 64 bits, every float field a %a hex-float,
+ * and every line must hold exactly its field count. Returns null on
+ * any mismatch or parse error (the caller treats that as a stale
+ * entry). The returned result's telemetry is marked as a store hit
+ * (no wall time, no simulated instructions).
  */
 std::unique_ptr<SuiteResult>
-deserializeSuiteResult(std::istream &is, const std::string &fingerprint,
+deserializeSuiteResult(std::string_view entry,
+                       const std::string &fingerprint,
                        const std::string &suite_key,
                        const std::string &config_key);
 
@@ -147,8 +152,9 @@ class ResultStore
     /**
      * Load the entry for (suite_key, config_key) under the current
      * build fingerprint. Null on miss; a present-but-mismatched entry
-     * (old fingerprint, hash collision, truncated file) counts as
-     * stale, is deleted, and reports as a miss.
+     * (old fingerprint, hash collision, truncated file, any field
+     * deserializeSuiteResult() rejects) counts as stale, is deleted,
+     * is recorded on the audit trail, and reports as a miss.
      */
     std::unique_ptr<SuiteResult> load(const std::string &suite_key,
                                       const std::string &config_key);

@@ -199,12 +199,18 @@ finalizeSweepSpec(SweepSpec &spec)
         spec.configs = defaultFigureConfigs(spec);
 }
 
-std::vector<Program>
-buildSpecSuite(const SweepSpec &spec)
+SuiteOptions
+specSuiteOptions(const SweepSpec &spec)
 {
     SuiteOptions sopts;
     sopts.maxWorkloads = spec.fullSuite ? 0 : spec.suite;
-    return buildSuite(sopts);
+    return sopts;
+}
+
+std::vector<Program>
+buildSpecSuite(const SweepSpec &spec)
+{
+    return buildSuite(specSuiteOptions(spec));
 }
 
 std::string

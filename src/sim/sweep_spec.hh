@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/sweep.hh"
+#include "workload/suite.hh"
 
 namespace lbp {
 
@@ -68,7 +69,11 @@ std::vector<SweepConfig> defaultFigureConfigs(const SweepSpec &spec);
 /** Substitute the default figure set when the spec has no configs. */
 void finalizeSweepSpec(SweepSpec &spec);
 
-/** Build the workload suite @p spec selects (cap or full suite). */
+/** The suite-construction options @p spec selects (cap or full). */
+SuiteOptions specSuiteOptions(const SweepSpec &spec);
+
+/** Build the workload suite @p spec selects: buildSuite() of
+ *  specSuiteOptions(@p spec). */
 std::vector<Program> buildSpecSuite(const SweepSpec &spec);
 
 /**

@@ -1,17 +1,29 @@
 /**
  * @file
  * Unit tests for the common substrate: saturating counters, RNG,
- * set-associative table, statistics helpers.
+ * set-associative table, statistics helpers, JSON number and string
+ * output, and line reassembly over loopback TCP.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/jsonl.hh"
 #include "common/random.hh"
 #include "common/sat_counter.hh"
 #include "common/set_assoc.hh"
+#include "common/socket.hh"
 #include "common/stats.hh"
+#include "common/thread_pool.hh"
 
 using namespace lbp;
 
@@ -272,4 +284,248 @@ TEST(Stats, TextTableAlignsColumns)
     const std::string out = t.render();
     EXPECT_NE(out.find("a     bbbb"), std::string::npos);
     EXPECT_NE(out.find("xxxx  y"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// JSON number and string output
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The printf rendering jsonNumber() must reproduce byte for byte. */
+std::string
+printfNumber(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+/** The byte-at-a-time stream escaper jsonEscape() replaced; the
+ *  run-based one must produce identical bytes. */
+std::string
+bytewiseEscape(const std::string &s)
+{
+    std::ostringstream os;
+    os << '"';
+    for (const char c : s) {
+        const unsigned char u = static_cast<unsigned char>(c);
+        switch (c) {
+          case '"':
+            os << "\\\"";
+            break;
+          case '\\':
+            os << "\\\\";
+            break;
+          case '\b':
+            os << "\\b";
+            break;
+          case '\f':
+            os << "\\f";
+            break;
+          case '\n':
+            os << "\\n";
+            break;
+          case '\r':
+            os << "\\r";
+            break;
+          case '\t':
+            os << "\\t";
+            break;
+          default:
+            if (u < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+                os << buf;
+            } else {
+                os << c;
+            }
+        }
+    }
+    os << '"';
+    return os.str();
+}
+
+/** jsonEscape() output, through both of its entry points. */
+std::string
+escaped(const std::string &s)
+{
+    std::ostringstream os;
+    jsonEscape(os, s);
+    EXPECT_EQ(os.str(), jsonQuote(s));
+    return os.str();
+}
+
+/** Escape, then parse back as a JSON document: must give @p s. */
+void
+expectParsesBack(const std::string &s)
+{
+    JsonValue v;
+    std::string err;
+    ASSERT_TRUE(JsonValue::parse(escaped(s), v, &err)) << err;
+    ASSERT_EQ(v.kind(), JsonValue::Kind::String);
+    EXPECT_EQ(v.str(), s);
+}
+
+} // namespace
+
+TEST(JsonNumber, MatchesPrintfOnEdgeValues)
+{
+    const double edges[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        // The largest subnormal.
+        DBL_MIN - std::numeric_limits<double>::denorm_min(),
+        DBL_MIN,
+        -DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+        DBL_EPSILON,
+        1.0,
+        0.1,
+        1.0 / 3.0,
+        9007199254740992.0,   // 2^53
+        9007199254740994.0,   // 2^53 + 2
+        123456789012345678.0,
+        18446744073709551616.0,  // 2^64
+        1e300,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (const double v : edges)
+        EXPECT_EQ(jsonNumber(v), printfNumber(v)) << printfNumber(v);
+}
+
+TEST(JsonNumber, MatchesPrintfOnRandomBitPatterns)
+{
+    Xoshiro256ss rng(0x15C0DE);
+    for (int i = 0; i < 100000; ++i) {
+        const double v = std::bit_cast<double>(rng.next());
+        const std::string want = printfNumber(v);
+        ASSERT_EQ(jsonNumber(v), want) << "bits " << std::hex
+                                       << std::bit_cast<std::uint64_t>(v);
+        // appendJsonNumber appends; it never clears what is there.
+        std::string appended(1, 'x');
+        appendJsonNumber(appended, v);
+        ASSERT_EQ(appended.front(), 'x');
+        ASSERT_EQ(appended.substr(1), want);
+    }
+}
+
+TEST(JsonEscape, EveryByteMatchesBytewiseEscaper)
+{
+    std::string all;
+    for (int b = 0; b < 256; ++b) {
+        const std::string one(1, static_cast<char>(b));
+        EXPECT_EQ(escaped(one), bytewiseEscape(one)) << "byte " << b;
+        expectParsesBack(one);
+        all += one;
+    }
+    EXPECT_EQ(escaped(all), bytewiseEscape(all));
+    expectParsesBack(all);
+    EXPECT_EQ(escaped(""), "\"\"");
+}
+
+TEST(JsonEscape, LongMixedStringsMatchBytewiseEscaper)
+{
+    // Long runs of plain bytes broken by escapes at random points,
+    // escapes back to back, and strings that start or end with one.
+    Xoshiro256ss rng(0xE5CA9E);
+    for (int round = 0; round < 200; ++round) {
+        std::string s;
+        const std::uint64_t len = rng.below(4096);
+        for (std::uint64_t i = 0; i < len; ++i) {
+            const std::uint64_t pick = rng.below(8);
+            s += pick == 0 ? static_cast<char>(rng.below(0x20))
+                 : pick == 1 ? "\"\\"[rng.below(2)]
+                 : pick == 2 ? static_cast<char>(0x80 + rng.below(0x80))
+                             : static_cast<char>(0x20 + rng.below(0x5f));
+        }
+        ASSERT_EQ(escaped(s), bytewiseEscape(s)) << "round " << round;
+        expectParsesBack(s);
+    }
+    // A CSV-sized payload, as the result frame carries.
+    std::string csv;
+    while (csv.size() < (1u << 20))
+        csv += "forward-walk,ISPEC-00,ISPEC,1.2345678901234567,42\n";
+    EXPECT_EQ(escaped(csv), bytewiseEscape(csv));
+    expectParsesBack(csv);
+}
+
+// ---------------------------------------------------------------------
+// TcpConn line reassembly
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A connected loopback pair: (client side, server side). */
+void
+loopbackPair(TcpListener &listener, TcpConn &client, TcpConn &server)
+{
+    std::string err;
+    ASSERT_TRUE(listener.listenOn("127.0.0.1", 0, err)) << err;
+    client = tcpConnect("127.0.0.1", listener.boundPort(), err);
+    ASSERT_TRUE(client.valid()) << err;
+    server = listener.acceptConn();
+    ASSERT_TRUE(server.valid());
+}
+
+} // namespace
+
+TEST(TcpConn, MegabyteLineInSmallChunksArrivesIntact)
+{
+    TcpListener listener;
+    TcpConn writer, reader;
+    loopbackPair(listener, writer, reader);
+
+    std::string big;
+    for (std::size_t i = 0; big.size() < (1u << 20) + 17; ++i)
+        big += static_cast<char>('a' + i % 26);
+    ThreadPool pool(1);
+    bool sent = true;
+    pool.submit([&] {
+        // 1000-byte writes: the reader sees the line grow across
+        // many receives before its terminator arrives.
+        const std::string_view view(big);
+        for (std::size_t off = 0; off < view.size(); off += 1000)
+            sent = writer.sendAll(view.substr(off, 1000)) && sent;
+        sent = writer.sendAll("\ntail\n") && sent;
+    });
+    std::string line;
+    ASSERT_EQ(reader.readLine(line, 30000), 1);
+    EXPECT_EQ(line.size(), big.size());
+    EXPECT_TRUE(line == big);
+    ASSERT_EQ(reader.readLine(line, 30000), 1);
+    EXPECT_EQ(line, "tail");
+    pool.wait();
+    EXPECT_TRUE(sent);
+}
+
+TEST(TcpConn, LinesFromOneWriteComeOutInOrder)
+{
+    TcpListener listener;
+    TcpConn writer, reader;
+    loopbackPair(listener, writer, reader);
+
+    ASSERT_TRUE(writer.sendAll("first\nsecond\r\nthird\n"));
+    std::string line;
+    ASSERT_EQ(reader.readLine(line, 30000), 1);
+    EXPECT_EQ(line, "first");
+    // The other two are already buffered: no further read is needed.
+    ASSERT_TRUE(reader.nextLine(line));
+    EXPECT_EQ(line, "second");
+    ASSERT_EQ(reader.readLine(line, 30000), 1);
+    EXPECT_EQ(line, "third");
+    EXPECT_FALSE(reader.nextLine(line));
+
+    // A line split across writes and a poll-driven fill completes.
+    ASSERT_TRUE(writer.sendAll("four"));
+    ASSERT_EQ(reader.readLine(line, 50), 0);  // no terminator yet
+    ASSERT_TRUE(writer.sendAll("th\n"));
+    ASSERT_EQ(reader.readLine(line, 30000), 1);
+    EXPECT_EQ(line, "fourth");
 }

@@ -7,8 +7,11 @@
  * byte-identical to the cold pass that populated the store).
  */
 
+#include <bit>
+#include <cfloat>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -109,13 +112,21 @@ TEST(ResultStore, SerializationRoundTripsEveryFieldExactly)
 {
     const std::vector<Program> suite = smallSuite(2);
     const SimConfig cfg = schemeConfig(RepairKind::ForwardWalk);
-    const SuiteResult res = runSuite(suite, cfg, 1);
+    SuiteResult res = runSuite(suite, cfg, 1);
     const std::string sk = suiteKey(suite);
     const std::string ck = configKey(cfg);
+    // Doubles a simulation rarely produces, where a hex-float parser
+    // goes wrong first: a sign on zero, the smallest subnormal, the
+    // largest finite value. Compared bit for bit below (-0.0 == 0.0).
+    ASSERT_GE(res.runs.size(), 2u);
+    res.runs[0].ipc = -0.0;
+    res.runs[0].mpki = std::numeric_limits<double>::denorm_min();
+    res.runs[1].avgWalkLength = DBL_MAX;
+    res.runs[1].repairKB = -std::numeric_limits<double>::denorm_min();
 
     std::stringstream ss;
     serializeSuiteResult(ss, buildFingerprint(), sk, ck, res);
-    const auto back = deserializeSuiteResult(ss, buildFingerprint(),
+    const auto back = deserializeSuiteResult(ss.str(), buildFingerprint(),
                                              sk, ck);
     ASSERT_TRUE(back);
     ASSERT_EQ(back->runs.size(), res.runs.size());
@@ -125,6 +136,13 @@ TEST(ResultStore, SerializationRoundTripsEveryFieldExactly)
         // Observability capture is deliberately not persisted.
         EXPECT_FALSE(back->runs[i].obs);
     }
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    EXPECT_EQ(bits(back->runs[0].ipc), bits(-0.0));
+    EXPECT_EQ(bits(back->runs[0].mpki),
+              bits(std::numeric_limits<double>::denorm_min()));
+    EXPECT_EQ(bits(back->runs[1].avgWalkLength), bits(DBL_MAX));
+    EXPECT_EQ(bits(back->runs[1].repairKB),
+              bits(-std::numeric_limits<double>::denorm_min()));
     // A loaded result reports as a hit with no simulation cost.
     EXPECT_TRUE(back->telemetry.memoHit);
     EXPECT_EQ(back->telemetry.simInstrs, 0u);
@@ -143,7 +161,7 @@ TEST(ResultStore, MismatchedKeysOrFingerprintRejectEntry)
                              const std::string &config_key) {
         std::stringstream ss;
         serializeSuiteResult(ss, buildFingerprint(), sk, ck, res);
-        return deserializeSuiteResult(ss, fp, suite_key, config_key);
+        return deserializeSuiteResult(ss.str(), fp, suite_key, config_key);
     };
 
     EXPECT_TRUE(tryLoad(buildFingerprint(), sk, ck));
@@ -156,8 +174,7 @@ TEST(ResultStore, MismatchedKeysOrFingerprintRejectEntry)
     serializeSuiteResult(ss, buildFingerprint(), sk, ck, res);
     std::string text = ss.str();
     text.resize(text.size() / 2);
-    std::stringstream cut(text);
-    EXPECT_FALSE(deserializeSuiteResult(cut, buildFingerprint(), sk, ck));
+    EXPECT_FALSE(deserializeSuiteResult(text, buildFingerprint(), sk, ck));
 }
 
 TEST(ResultStore, SaveLoadHitMissAndStaleCounters)
@@ -193,6 +210,142 @@ TEST(ResultStore, SaveLoadHitMissAndStaleCounters)
     EXPECT_EQ(store.stats().stale, 1u);
     EXPECT_EQ(store.stats().misses, 2u);
     EXPECT_FALSE(fs::exists(entry)) << "stale entry not removed";
+}
+
+namespace {
+
+/** @p text with its first @p from replaced by @p to (which must occur). */
+std::string
+doctored(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << "no '" << from << "' to doctor";
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+} // namespace
+
+// Every corruption of a well-formed entry must read as a stale entry:
+// never a crash, never a result with a wrong number in it.
+TEST(ResultStore, CorruptFieldsRejectEntry)
+{
+    const std::vector<Program> suite = smallSuite(1);
+    const SimConfig cfg = schemeConfig(RepairKind::ForwardWalk);
+    const SuiteResult res = runSuite(suite, cfg, 1);
+    const std::string sk = suiteKey(suite);
+    const std::string ck = configKey(cfg);
+    const std::string fp = buildFingerprint();
+    std::stringstream ss;
+    serializeSuiteResult(ss, fp, sk, ck, res);
+    const std::string good = ss.str();
+    ASSERT_TRUE(deserializeSuiteResult(good, fp, sk, ck));
+
+    const std::string runs = "\nruns " + std::to_string(res.runs.size());
+    const std::string cycles =
+        "\ncs " + std::to_string(res.runs[0].stats.cycles) + " ";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        // Run counts that disagree with the suite key's n=, including
+        // one far too large to allocate.
+        {runs, "\nruns 99999999999"},
+        {runs, runs + "0"},
+        {runs, "\nruns 0"},
+        // Integers that are not plain decimal digits, or overflow.
+        {cycles, "\ncs -" + cycles.substr(4)},
+        {cycles, "\ncs +" + cycles.substr(4)},
+        {cycles, "\ncs 18446744073709551616 "},
+        {cycles, "\ncs 12x "},
+        {cycles, "\ncs  "},
+        // Lines holding one field too many or too few.
+        {"\nca ", "\nca 7 "},
+        // Floats that are not %a hex-floats.
+        {"\nfp ", "\nfp 1.5 "},
+        {"\nfp ", "\nfp 0x-1p+0 "},
+        {"\nfp ", "\nfp --0x1p+0 "},
+        {"\nfp ", "\nfp 0xinf "},
+        // Trailing bytes after the terminator.
+        {"\nend\n", "\nend\nend\n"},
+    };
+    for (const auto &[from, to] : cases) {
+        SCOPED_TRACE(to);
+        EXPECT_FALSE(deserializeSuiteResult(doctored(good, from, to), fp,
+                                            sk, ck));
+    }
+    // One field short: drop the last field of the first "au" line.
+    const std::size_t au = good.find("\nau ");
+    ASSERT_NE(au, std::string::npos);
+    const std::size_t eol = good.find('\n', au + 1);
+    const std::size_t lastSp = good.rfind(' ', eol);
+    std::string shortLine = good;
+    shortLine.erase(lastSp, eol - lastSp);
+    EXPECT_FALSE(deserializeSuiteResult(shortLine, fp, sk, ck));
+}
+
+// The two corruptions a lenient parser mishandles, through a primed
+// store: a run count far beyond the suite (allocating it aborts with
+// std::bad_alloc) and a negated counter (strtoull wraps "-7796" to
+// 2^64 - 7796). Both must count as stale: deleted, audited, and
+// re-simulated.
+TEST(ResultStore, CorruptEntryIsStaleNotAHitOrACrash)
+{
+    const fs::path dir = freshDir("lbp-store-corrupt");
+    const std::vector<Program> suite = smallSuite(2);
+    const std::vector<SweepConfig> configs = {
+        {"forward-walk", schemeConfig(RepairKind::ForwardWalk)},
+    };
+    ResultStore store(dir.string());
+    SuiteCache coldCache;
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.store = &store;
+    opts.cache = &coldCache;
+    const SweepResult cold = runSweep(suite, configs, opts);
+    std::ostringstream coldCsv;
+    writeSweepCsv(coldCsv, cold, configs);
+
+    const fs::path entry =
+        dir / ResultStore::entryFileName(buildFingerprint(), cold.suiteKey,
+                                         cold.configKeys[0]);
+    std::string good;
+    {
+        std::ifstream in(entry);
+        std::stringstream buf;
+        buf << in.rdbuf();
+        good = buf.str();
+    }
+    const RunResult &first = cold.configResults[0]->runs[0];
+    const std::string cycles = "\ncs " + std::to_string(first.stats.cycles);
+    const std::vector<std::string> corrupt = {
+        doctored(good, "\nruns " + std::to_string(suite.size()),
+                 "\nruns 99999999999"),
+        doctored(good, cycles, "\ncs -" + cycles.substr(4)),
+    };
+    for (const std::string &text : corrupt) {
+        {
+            std::ofstream out(entry, std::ios::binary);
+            out << text;
+        }
+        const ResultStore::StoreStats before = store.stats();
+        SuiteCache warmCache;
+        opts.cache = &warmCache;
+        const SweepResult warm = runSweep(suite, configs, opts);
+        EXPECT_EQ(warm.stats.cellsStoreHit, 0u);
+        EXPECT_EQ(warm.stats.cellsSimulated, suite.size());
+        EXPECT_EQ(warm.stats.storeStale, 1u);
+        EXPECT_EQ(store.stats().stale, before.stale + 1);
+        ASSERT_EQ(warm.storeAudit.size(), 1u);
+        EXPECT_EQ(warm.storeAudit[0].reason, "stale");
+        EXPECT_EQ(warm.storeAudit[0].file, entry.filename().string());
+        EXPECT_EQ(warm.storeAudit[0].fingerprint, buildFingerprint());
+        EXPECT_EQ(warm.storeAudit[0].bytes, text.size());
+        // The re-simulated result replaced the entry, and the CSV is
+        // the cold one: no wrapped counter reached it.
+        std::ostringstream warmCsv;
+        writeSweepCsv(warmCsv, warm, configs);
+        EXPECT_EQ(warmCsv.str(), coldCsv.str());
+        EXPECT_EQ(warmCsv.str().find("18446744073709"), std::string::npos);
+    }
 }
 
 TEST(ResultStore, DistinctKeysGetDistinctEntryFiles)

@@ -569,3 +569,70 @@ TEST(Serve, TraceIdPropagatesEndToEnd)
         EXPECT_NE(spans.find(needle), std::string::npos) << phase;
     }
 }
+
+TEST(Serve, RepeatSelectionReusesResidentSuite)
+{
+    SuiteCache cache;
+    ServeOptions sopts;
+    sopts.port = 0;
+    sopts.jobs = 2;
+    sopts.cache = &cache;
+    Server server(sopts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    ThreadPool pool(1);
+    int rc = -1;
+    pool.submit([&] { rc = server.run(); });
+
+    ServeClientOptions copts;
+    copts.host = "127.0.0.1";
+    copts.port = server.port();
+    copts.suite = 1;
+    copts.warmupInstrs = 500;
+    copts.measureInstrs = 1000;
+
+    // The live count comes from a stats frame: Server::stats() may
+    // only be read once run() has returned.
+    TcpConn conn = tcpConnect("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(conn.valid()) << err;
+    shakeHands(conn);
+    const auto suiteBuilds = [&conn] {
+        EXPECT_TRUE(conn.sendAll("{\"type\":\"stats\"}\n"));
+        const JsonValue msg = readFrame(conn);
+        const JsonValue *c = msg.member("counters");
+        const JsonValue *v = c ? c->member("serve_suite_builds") : nullptr;
+        EXPECT_TRUE(v) << "stats frame lacks serve_suite_builds";
+        return v ? v->number(-1.0) : -1.0;
+    };
+
+    // Three identical submits: one suite build, and the two repeats
+    // (served from the resident suite) return the first one's CSV.
+    std::vector<std::string> csvs;
+    for (int i = 0; i < 3; ++i) {
+        ServeSweepResult res;
+        ASSERT_TRUE(runServeSweep(copts, res, err)) << err;
+        EXPECT_FALSE(res.csv.empty());
+        csvs.push_back(res.csv);
+    }
+    EXPECT_EQ(csvs[1], csvs[0]);
+    EXPECT_EQ(csvs[2], csvs[0]);
+    EXPECT_EQ(suiteBuilds(), 1.0);
+
+    // Another selection replaces the resident suite. (Caps up to 7
+    // all give one workload per category; 8 adds a workload.)
+    copts.suite = 8;
+    ServeSweepResult other;
+    ASSERT_TRUE(runServeSweep(copts, other, err)) << err;
+    EXPECT_NE(other.csv, csvs[0]);
+    EXPECT_EQ(suiteBuilds(), 2.0);
+    conn.closeConn();
+
+    server.requestDrain();
+    pool.wait();
+    EXPECT_EQ(rc, 0);
+    const ServeStats st = server.stats();
+    EXPECT_EQ(st.suiteBuilds, 2u);
+    EXPECT_EQ(st.requestsCompleted, 4u);
+    EXPECT_EQ(st.sweepsExecuted, 4u);
+}
