@@ -10,7 +10,7 @@
  * push/pop never allocate.
  *
  * Method names are deliberately camelCase (pushBack, not push_back):
- * the domain lint's no-hot-path-alloc rule flags std-container growth
+ * the analyzer's no-hot-path-alloc rule flags std-container growth
  * calls inside core/TAGE hot functions, and the distinct spelling keeps
  * bounded-ring traffic out of that net.
  */

@@ -5,10 +5,11 @@
  * the benches and lbpsim dump as a machine-readable JSON file.
  *
  * This file (and telemetry.cc) is the only place in src/ allowed to
- * touch wall-clock time — tools/lbp_lint.py exempts it from the
- * no-raw-time rule. Telemetry is observational only: nothing simulated
- * may ever depend on a Stopwatch reading, or run-to-run determinism
- * dies. Keep clock reads out of every other translation unit.
+ * touch wall-clock time — tools/lbp_analyze.py's no-raw-time rule
+ * allows clock reads inside the Stopwatch class only. Telemetry is
+ * observational only: nothing simulated may ever depend on a
+ * Stopwatch reading, or run-to-run determinism dies. Keep clock reads
+ * out of every other translation unit.
  */
 
 #ifndef LBP_COMMON_TELEMETRY_HH

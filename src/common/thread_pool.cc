@@ -11,15 +11,13 @@ namespace lbp {
 unsigned
 resolveJobs(unsigned requested)
 {
-    if (requested)
-        return requested;
-    if (const char *s = std::getenv("REPRO_JOBS")) {
-        const unsigned long v = std::strtoul(s, nullptr, 10);
-        if (v)
-            return static_cast<unsigned>(std::min(v, 1024ul));
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    unsigned long jobs = requested;
+    if (!jobs)
+        if (const char *s = std::getenv("REPRO_JOBS"))
+            jobs = std::strtoul(s, nullptr, 10);
+    if (!jobs)
+        jobs = std::thread::hardware_concurrency();
+    return jobs ? static_cast<unsigned>(std::min(jobs, 1024ul)) : 1;
 }
 
 ThreadPool::ThreadPool(unsigned workers)

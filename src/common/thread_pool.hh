@@ -17,8 +17,8 @@
  *    can report utilization alongside wall-clock throughput.
  *
  * This file (and thread_pool.cc) is the only place in src/ allowed to
- * spawn threads — tools/lbp_lint.py's no-raw-thread rule enforces it.
- * Everything else goes through ThreadPool so TSan coverage and
+ * spawn threads — tools/lbp_analyze.py's no-raw-thread rule enforces
+ * it. Everything else goes through ThreadPool so TSan coverage and
  * shutdown behaviour stay centralized.
  */
 
@@ -40,7 +40,7 @@ namespace lbp {
 /**
  * Resolve a worker count: @p requested if non-zero, else the
  * REPRO_JOBS environment variable, else hardware concurrency
- * (minimum 1).
+ * (minimum 1). Every source is capped at 1024 workers.
  */
 unsigned resolveJobs(unsigned requested);
 

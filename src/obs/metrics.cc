@@ -105,12 +105,12 @@ u64Field(std::uint64_t v)
 
 } // namespace
 
-const std::vector<RunMetricDesc> &
+const std::vector<MetricDesc<RunResult>> &
 runMetrics()
 {
     // Column order is the historical lbpsim CSV order — downstream
     // plotting scripts key on these exact names; append, never reorder.
-    static const std::vector<RunMetricDesc> table = {
+    static const std::vector<MetricDesc<RunResult>> table = {
         {"ipc", "instr/cycle",
          "Retired instructions per cycle over the measurement window "
          "(Figures 5/7/9 speedups derive from IPC ratios)",
@@ -252,24 +252,12 @@ runMetrics()
     return table;
 }
 
-void
-registerRunMetrics(MetricsRegistry &reg, const RunResult &r)
-{
-    for (const RunMetricDesc &d : runMetrics()) {
-        if (d.integral)
-            reg.counter(d.name, d.unit, d.help,
-                        static_cast<std::uint64_t>(d.get(r)));
-        else
-            reg.gauge(d.name, d.unit, d.help, d.get(r));
-    }
-}
-
-const std::vector<SweepMetricDesc> &
+const std::vector<MetricDesc<SweepStats>> &
 sweepMetrics()
 {
     // Manifest counter order — the sweep-smoke CI job keys on these
     // exact names; append, never reorder.
-    static const std::vector<SweepMetricDesc> table = {
+    static const std::vector<MetricDesc<SweepStats>> table = {
         {"sweep_cells_total", "count",
          "(configuration x workload) cells scheduled by the sweep",
          true,
@@ -323,25 +311,13 @@ sweepMetrics()
     return table;
 }
 
-void
-registerSweepMetrics(MetricsRegistry &reg, const SweepStats &s)
-{
-    for (const SweepMetricDesc &d : sweepMetrics()) {
-        if (d.integral)
-            reg.counter(d.name, d.unit, d.help,
-                        static_cast<std::uint64_t>(d.get(s)));
-        else
-            reg.gauge(d.name, d.unit, d.help, d.get(s));
-    }
-}
-
-const std::vector<ServeMetricDesc> &
+const std::vector<MetricDesc<ServeStats>> &
 serveMetrics()
 {
     // Wire order of the lbp-serve-v1 `stats` frame — clients and the
     // serve-smoke CI job key on these exact names; append, never
     // reorder.
-    static const std::vector<ServeMetricDesc> table = {
+    static const std::vector<MetricDesc<ServeStats>> table = {
         {"serve_clients_connected", "count",
          "Client connections accepted since startup", true,
          [](const ServeStats &s) {
@@ -452,26 +428,14 @@ serveMetrics()
     return table;
 }
 
-void
-registerServeMetrics(MetricsRegistry &reg, const ServeStats &s)
-{
-    for (const ServeMetricDesc &d : serveMetrics()) {
-        if (d.integral)
-            reg.counter(d.name, d.unit, d.help,
-                        static_cast<std::uint64_t>(d.get(s)));
-        else
-            reg.gauge(d.name, d.unit, d.help, d.get(s));
-    }
-}
-
-const std::vector<StoreMetricDesc> &
+const std::vector<MetricDesc<StoreStats>> &
 storeMetrics()
 {
     // Store-lifecycle counter order — the manifest "store" section and
     // the daemon scrape key on these exact names; append, never
     // reorder. (The sweep table's store_* rows are per-sweep deltas;
     // these are the store's own lifetime totals.)
-    static const std::vector<StoreMetricDesc> table = {
+    static const std::vector<MetricDesc<StoreStats>> table = {
         {"result_store_hits", "count",
          "Store loads that returned a usable entry (lifetime)", true,
          [](const StoreStats &s) { return u64Field(s.hits); }},
@@ -504,21 +468,9 @@ storeMetrics()
 }
 
 void
-registerStoreMetrics(MetricsRegistry &reg, const StoreStats &s)
-{
-    for (const StoreMetricDesc &d : storeMetrics()) {
-        if (d.integral)
-            reg.counter(d.name, d.unit, d.help,
-                        static_cast<std::uint64_t>(d.get(s)));
-        else
-            reg.gauge(d.name, d.unit, d.help, d.get(s));
-    }
-}
-
-void
 RunAggregate::add(const RunResult &r)
 {
-    const std::vector<RunMetricDesc> &table = runMetrics();
+    const std::vector<MetricDesc<RunResult>> &table = runMetrics();
     if (sums_.size() < table.size())
         sums_.resize(table.size(), 0.0);
     for (std::size_t i = 0; i < table.size(); ++i)
@@ -529,9 +481,9 @@ RunAggregate::add(const RunResult &r)
 void
 RunAggregate::addTo(MetricsRegistry &reg) const
 {
-    const std::vector<RunMetricDesc> &table = runMetrics();
+    const std::vector<MetricDesc<RunResult>> &table = runMetrics();
     for (std::size_t i = 0; i < table.size(); ++i) {
-        const RunMetricDesc &d = table[i];
+        const MetricDesc<RunResult> &d = table[i];
         const double sum = i < sums_.size() ? sums_[i] : 0.0;
         if (d.integral)
             reg.counter(d.name, d.unit, d.help,

@@ -151,96 +151,59 @@ class MetricsRegistry
 };
 
 /**
- * Descriptor tying one exported per-run metric to its RunResult field.
- * The table (runMetrics()) is the authority for lbpsim's CSV columns,
- * the --metrics-json export, and docs/METRICS.md — adding a field to
- * RunResult means adding a row here, and every consumer picks it up.
+ * Descriptor tying one exported metric to a field of its source struct
+ * @p T. Each table of these is the single authority for its surface:
+ * runMetrics() (RunResult) names lbpsim's CSV columns and the
+ * --metrics-json export, sweepMetrics() (SweepStats, sim/sweep.hh) the
+ * sweep manifest's "counters", serveMetrics() (ServeStats,
+ * serve/protocol.hh) the lbp-serve-v1 `stats` frame and lbpserved's exit
+ * summary, storeMetrics() (StoreStats, sim/result_store.hh) the
+ * manifest's "store" section — and all four the scrape and
+ * docs/METRICS.md. Adding a field means adding a row, and every
+ * consumer picks it up.
  */
-struct RunMetricDesc
+template <typename T>
+struct MetricDesc
 {
-    const char *name;  ///< CSV column / JSON key
+    const char *name;  ///< CSV column / JSON key / counter name
     const char *unit;
     const char *help;
-    bool integral;              ///< counter (true) vs gauge (false)
-    double (*get)(const RunResult &);  ///< field accessor
+    bool integral;             ///< counter (true) vs gauge (false)
+    double (*get)(const T &);  ///< field accessor
 };
 
 /**
  * The per-run metric table, in CSV column order (stable: existing
  * columns keep their historical names and positions).
  */
-const std::vector<RunMetricDesc> &runMetrics();
-
-/** Register every runMetrics() entry of @p r into @p reg. */
-void registerRunMetrics(MetricsRegistry &reg, const RunResult &r);
-
-/**
- * Descriptor tying one exported sweep-level counter to its SweepStats
- * field (sim/sweep.hh) — the orchestration/store analogue of
- * RunMetricDesc. The table (sweepMetrics()) names everything the sweep
- * manifest's "counters" object contains, so the manifest, the
- * sweep-smoke CI assertions, and docs/METRICS.md share one authority.
- */
-struct SweepMetricDesc
-{
-    const char *name;  ///< manifest counter name
-    const char *unit;
-    const char *help;
-    bool integral;               ///< counter (true) vs gauge (false)
-    double (*get)(const SweepStats &);  ///< field accessor
-};
+const std::vector<MetricDesc<RunResult>> &runMetrics();
 
 /** The sweep-counter table, in manifest order (append, never reorder). */
-const std::vector<SweepMetricDesc> &sweepMetrics();
-
-/** Register every sweepMetrics() entry of @p s into @p reg. */
-void registerSweepMetrics(MetricsRegistry &reg, const SweepStats &s);
-
-/**
- * Descriptor tying one exported daemon counter to its ServeStats field
- * (serve/protocol.hh) — the third registry next to runMetrics() and
- * sweepMetrics(). The table (serveMetrics()) names everything the
- * lbp-serve-v1 `stats` frame and lbpserved's exit summary report, so
- * the wire protocol, the CI smoke assertions, and docs/METRICS.md
- * share one authority.
- */
-struct ServeMetricDesc
-{
-    const char *name;  ///< stats-frame counter name
-    const char *unit;
-    const char *help;
-    bool integral;               ///< counter (true) vs gauge (false)
-    double (*get)(const ServeStats &);  ///< field accessor
-};
+const std::vector<MetricDesc<SweepStats>> &sweepMetrics();
 
 /** The daemon-counter table, in wire order (append, never reorder). */
-const std::vector<ServeMetricDesc> &serveMetrics();
-
-/** Register every serveMetrics() entry of @p s into @p reg. */
-void registerServeMetrics(MetricsRegistry &reg, const ServeStats &s);
-
-/**
- * Descriptor tying one exported result-store counter to its StoreStats
- * field (sim/result_store.hh) — the fourth registry, covering store
- * lifecycle (hits, misses, stale deletes, bytes moved, GC evictions).
- * The table (storeMetrics()) names everything the sweep manifest's
- * "store" section and the daemon scrape report about the persistent
- * store, so they cannot drift from the struct.
- */
-struct StoreMetricDesc
-{
-    const char *name;  ///< scrape / manifest counter name
-    const char *unit;
-    const char *help;
-    bool integral;               ///< counter (true) vs gauge (false)
-    double (*get)(const StoreStats &);  ///< field accessor
-};
+const std::vector<MetricDesc<ServeStats>> &serveMetrics();
 
 /** The store-counter table (append, never reorder). */
-const std::vector<StoreMetricDesc> &storeMetrics();
+const std::vector<MetricDesc<StoreStats>> &storeMetrics();
 
-/** Register every storeMetrics() entry of @p s into @p reg. */
-void registerStoreMetrics(MetricsRegistry &reg, const StoreStats &s);
+/**
+ * Register every row of @p table, read from @p src, into @p reg:
+ * integral rows as counters, the rest as gauges.
+ */
+template <typename T>
+void
+registerMetrics(MetricsRegistry &reg,
+                const std::vector<MetricDesc<T>> &table, const T &src)
+{
+    for (const MetricDesc<T> &d : table) {
+        if (d.integral)
+            reg.counter(d.name, d.unit, d.help,
+                        static_cast<std::uint64_t>(d.get(src)));
+        else
+            reg.gauge(d.name, d.unit, d.help, d.get(src));
+    }
+}
 
 /**
  * Table-driven aggregate over many RunResults — what a resident daemon

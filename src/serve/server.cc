@@ -9,6 +9,7 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -379,7 +380,7 @@ struct Server::Impl
         os << ",\"cells\":" << res.stats.cellsTotal
            << ",\"counters\":";
         MetricsRegistry reg;
-        registerSweepMetrics(reg, res.stats);
+        registerMetrics(reg, sweepMetrics(), res.stats);
         os << flatCounters(reg);
         os << ",\"configs\":[";
         for (std::size_t c = 0; c < nc; ++c) {
@@ -695,41 +696,35 @@ struct Server::Impl
             trace = v->str();
         }
 
+        // `suite` (or "all"), `warmup` and `instr` go through the spec
+        // grammar's strict count parser; anything else is a bad
+        // request.
+        const auto count = [&](const char *key, std::uint64_t &out,
+                               std::uint64_t max, const char *alt) {
+            const JsonValue *v = msg.member(key);
+            if (!v || (v->kind() == JsonValue::Kind::Number &&
+                       parseSpecCount(v->number(), out, max)))
+                return true;
+            ++st.requestsRejected;
+            sendRejected(c, id, ServeError::BadRequest,
+                         std::string(key) + " must be an integer in [0, " +
+                             std::to_string(max) + "]" + alt);
+            return false;
+        };
+        constexpr std::uint64_t u64Max =
+            std::numeric_limits<std::uint64_t>::max();
         SweepSpec spec;
-        if (const JsonValue *v = msg.member("suite")) {
-            if (v->kind() == JsonValue::Kind::String &&
-                v->str() == "all") {
-                spec.fullSuite = true;
-                spec.suite = 0;
-            } else if (v->kind() == JsonValue::Kind::Number) {
-                spec.suite = static_cast<unsigned>(v->number());
-            } else {
-                ++st.requestsRejected;
-                sendRejected(c, id, ServeError::BadRequest,
-                             "suite must be a number or \"all\"");
-                return;
-            }
-        }
-        if (const JsonValue *v = msg.member("warmup")) {
-            if (v->kind() != JsonValue::Kind::Number) {
-                ++st.requestsRejected;
-                sendRejected(c, id, ServeError::BadRequest,
-                             "warmup must be a number");
-                return;
-            }
-            spec.warmupInstrs =
-                static_cast<std::uint64_t>(v->number());
-        }
-        if (const JsonValue *v = msg.member("instr")) {
-            if (v->kind() != JsonValue::Kind::Number) {
-                ++st.requestsRejected;
-                sendRejected(c, id, ServeError::BadRequest,
-                             "instr must be a number");
-                return;
-            }
-            spec.measureInstrs =
-                static_cast<std::uint64_t>(v->number());
-        }
+        std::uint64_t cap = spec.suite;
+        const JsonValue *sv = msg.member("suite");
+        spec.fullSuite = sv && sv->kind() == JsonValue::Kind::String &&
+                         sv->str() == "all";
+        if ((!spec.fullSuite &&
+             !count("suite", cap, std::numeric_limits<unsigned>::max(),
+                    " or \"all\"")) ||
+            !count("warmup", spec.warmupInstrs, u64Max, "") ||
+            !count("instr", spec.measureInstrs, u64Max, ""))
+            return;
+        spec.suite = spec.fullSuite ? 0 : static_cast<unsigned>(cap);
         std::string specText;
         if (const JsonValue *v = msg.member("spec")) {
             if (v->kind() != JsonValue::Kind::String) {
@@ -872,7 +867,7 @@ struct Server::Impl
     handleStats(ClientState &c)
     {
         MetricsRegistry reg;
-        registerServeMetrics(reg, st);
+        registerMetrics(reg, serveMetrics(), st);
         sendTo(c, "{\"type\":\"stats\",\"counters\":" +
                       flatCounters(reg) + "}\n");
     }
@@ -890,10 +885,10 @@ struct Server::Impl
         ++st.scrapesServed;
         MetricsRegistry reg;
         runAgg.addTo(reg);
-        registerSweepMetrics(reg, sweepTotals);
-        registerServeMetrics(reg, st);
+        registerMetrics(reg, sweepMetrics(), sweepTotals);
+        registerMetrics(reg, serveMetrics(), st);
         if (opts.store)
-            registerStoreMetrics(reg, opts.store->stats());
+            registerMetrics(reg, storeMetrics(), opts.store->stats());
         reg.histogram("serve_queue_wait_ms", "ms",
                       "submit accept to dispatch wait per request",
                       hist.queueWaitMs);

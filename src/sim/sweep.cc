@@ -1,5 +1,6 @@
 #include "sim/sweep.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <mutex>
@@ -275,7 +276,8 @@ runSweep(const std::vector<Program> &suite,
             for (std::size_t t = 0; t < tasks.size(); ++t)
                 runCell(t);
         } else {
-            ThreadPool pool(out.jobs);
+            ThreadPool pool(static_cast<unsigned>(
+                std::min<std::size_t>(out.jobs, tasks.size())));
             pool.parallelFor(tasks.size(), runCell);
         }
     }
@@ -367,7 +369,7 @@ writeSweepManifest(std::ostream &os, const SweepResult &res,
     }
     os << ",\n  \"counters\": ";
     MetricsRegistry reg;
-    registerSweepMetrics(reg, res.stats);
+    registerMetrics(reg, sweepMetrics(), res.stats);
     reg.writeJson(os);
     if (res.storeUsed) {
         // Store lifecycle this sweep observed: the stale-delete count
@@ -426,11 +428,11 @@ writeSweepCsv(std::ostream &os, const SweepResult &res,
     // (store-hit) sweep, while a whole-CSV buffer would add its size
     // to peak memory.
     constexpr std::size_t flushBytes = 64 * 1024;
-    const std::vector<RunMetricDesc> &metrics = runMetrics();
+    const std::vector<MetricDesc<RunResult>> &metrics = runMetrics();
     std::string out;
     out.reserve(flushBytes + 1024);
     out += "config,workload,category";
-    for (const RunMetricDesc &d : metrics) {
+    for (const MetricDesc<RunResult> &d : metrics) {
         out += ',';
         out += d.name;
     }
@@ -445,7 +447,7 @@ writeSweepCsv(std::ostream &os, const SweepResult &res,
             out += r.workload;
             out += ',';
             out += r.category;
-            for (const RunMetricDesc &d : metrics) {
+            for (const MetricDesc<RunResult> &d : metrics) {
                 out += ',';
                 if (d.integral) {
                     char buf[24];

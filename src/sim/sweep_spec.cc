@@ -1,5 +1,7 @@
 #include "sim/sweep_spec.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -8,6 +10,33 @@
 #include "workload/suite.hh"
 
 namespace lbp {
+
+bool
+parseSpecCount(std::string_view text, std::uint64_t &out,
+               std::uint64_t max)
+{
+    // from_chars into an unsigned type takes digits only: no sign, no
+    // leading space, no fraction or exponent.
+    const char *end = text.data() + text.size();
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseSpecCount(double value, std::uint64_t &out, std::uint64_t max)
+{
+    // 2^64: every finite double below it converts to uint64 exactly.
+    if (!(value >= 0.0) || value >= 18446744073709551616.0 ||
+        std::floor(value) != value ||
+        static_cast<std::uint64_t>(value) > max)
+        return false;
+    out = static_cast<std::uint64_t>(value);
+    return true;
+}
 
 bool
 sweepSchemeKind(const std::string &name, RepairKind &kind)
@@ -138,21 +167,29 @@ parseSweepSpecText(const std::string &text, SweepSpec &spec,
         std::string word;
         if (!(ls >> word))
             continue;
-        if (word == "suite") {
-            std::string v;
+        if (word == "suite" || word == "warmup" || word == "instr") {
+            // Exactly one value; `suite` also takes "all".
+            const bool suite = word == "suite";
+            const std::uint64_t max =
+                suite ? std::numeric_limits<unsigned>::max()
+                      : std::numeric_limits<std::uint64_t>::max();
+            std::string v, extra;
+            std::uint64_t n = 0;
             ls >> v;
-            if (v == "all") {
-                spec.fullSuite = true;
-                spec.suite = 0;
-            } else {
-                spec.fullSuite = false;
-                spec.suite =
-                    static_cast<unsigned>(std::atoi(v.c_str()));
+            if ((ls >> extra) ||
+                !((suite && v == "all") || parseSpecCount(v, n, max))) {
+                error = "spec: " + word + " wants one integer in [0, " +
+                        std::to_string(max) + "]" +
+                        (suite ? " or 'all'" : "");
+                return false;
             }
-        } else if (word == "warmup") {
-            ls >> spec.warmupInstrs;
-        } else if (word == "instr") {
-            ls >> spec.measureInstrs;
+            if (suite) {
+                spec.fullSuite = v == "all";
+                spec.suite = static_cast<unsigned>(n);
+            } else {
+                (word == "warmup" ? spec.warmupInstrs
+                                  : spec.measureInstrs) = n;
+            }
         } else if (word == "config") {
             SweepConfig sc;
             if (!parseConfigLine(ls, spec, sc, error))

@@ -17,7 +17,9 @@
 #define LBP_SIM_SWEEP_SPEC_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/sweep.hh"
@@ -41,6 +43,25 @@ struct SweepSpec
     std::uint64_t measureInstrs = 60000;  ///< measured budget per cell
     std::vector<SweepConfig> configs;     ///< empty = caller's default
 };
+
+/**
+ * The one strict parser for `suite`, `warmup` and `instr` values (and
+ * lbpsweep's --jobs), shared by spec text, the wire protocol's submit
+ * fields and lbpsweep's flags. @p text must be a plain decimal integer
+ * in [0, @p max]: no sign, fraction, exponent or trailing characters.
+ * Returns false, leaving @p out untouched, for anything else.
+ */
+bool parseSpecCount(std::string_view text, std::uint64_t &out,
+                    std::uint64_t max =
+                        std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * parseSpecCount() for a value that arrived as a JSON number: it must
+ * be finite, integral and in [0, @p max].
+ */
+bool parseSpecCount(double value, std::uint64_t &out,
+                    std::uint64_t max =
+                        std::numeric_limits<std::uint64_t>::max());
 
 /**
  * Scheme-name -> RepairKind mapping ("perfect", "forward-walk", ...).

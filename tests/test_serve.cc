@@ -419,13 +419,13 @@ TEST(Serve, MetricsFrameCoversEveryRegistryRowExactlyOnce)
     // unlabeled sample — no missing rows, no duplicates, so scrape
     // names cannot drift from the tables.
     const std::vector<std::string> lines = splitLines(expo);
-    for (const RunMetricDesc &d : runMetrics())
+    for (const MetricDesc<RunResult> &d : runMetrics())
         EXPECT_EQ(countSamples(lines, d.name), 1u) << d.name;
-    for (const SweepMetricDesc &d : sweepMetrics())
+    for (const MetricDesc<SweepStats> &d : sweepMetrics())
         EXPECT_EQ(countSamples(lines, d.name), 1u) << d.name;
-    for (const ServeMetricDesc &d : serveMetrics())
+    for (const MetricDesc<ServeStats> &d : serveMetrics())
         EXPECT_EQ(countSamples(lines, d.name), 1u) << d.name;
-    for (const StoreMetricDesc &d : storeMetrics())
+    for (const MetricDesc<StoreStats> &d : storeMetrics())
         EXPECT_EQ(countSamples(lines, d.name), 1u) << d.name;
 
     for (const char *h : {"serve_queue_wait_ms", "serve_execute_ms",
@@ -635,4 +635,51 @@ TEST(Serve, RepeatSelectionReusesResidentSuite)
     EXPECT_EQ(st.suiteBuilds, 2u);
     EXPECT_EQ(st.requestsCompleted, 4u);
     EXPECT_EQ(st.sweepsExecuted, 4u);
+}
+
+// `suite`, `warmup` and `instr` pass the spec grammar's strict count
+// parser: a negative, fractional, out-of-range or non-numeric value is
+// a bad_request (a bad_spec inside spec text), and nothing runs.
+TEST(Serve, MalformedCountsAreRejected)
+{
+    SuiteCache cache;
+    ServeOptions sopts;
+    sopts.port = 0;
+    sopts.jobs = 1;
+    sopts.cache = &cache;
+    Server server(sopts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    ThreadPool pool(1);
+    int rc = -1;
+    pool.submit([&] { rc = server.run(); });
+
+    TcpConn conn = tcpConnect("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(conn.valid()) << err;
+    shakeHands(conn);
+    const auto submit = [&conn](const std::string &fields) {
+        EXPECT_TRUE(conn.sendAll(
+            "{\"type\":\"submit\",\"id\":\"r\"," + fields + "}\n"));
+        const JsonValue msg = readFrame(conn);
+        EXPECT_EQ(frameType(msg), "rejected") << fields;
+        const JsonValue *code = msg.member("code");
+        return code ? code->str() : std::string();
+    };
+    const char *bad[] = {
+        "\"suite\":-1",     "\"suite\":1e30",    "\"suite\":2.7",
+        "\"suite\":\"8\"",  "\"warmup\":-1",    "\"warmup\":1e30",
+        "\"instr\":0.5",    "\"instr\":true",
+    };
+    for (const char *fields : bad)
+        EXPECT_EQ(submit(fields), "bad_request") << fields;
+    EXPECT_EQ(submit("\"warmup\":1000,\"spec\":\"warmup -1\""), "bad_spec");
+    conn.closeConn();
+
+    server.requestDrain();
+    pool.wait();
+    EXPECT_EQ(rc, 0);
+    const ServeStats st = server.stats();
+    EXPECT_EQ(st.requestsRejected, 9u);
+    EXPECT_EQ(st.sweepsExecuted, 0u);
 }

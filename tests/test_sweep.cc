@@ -3,8 +3,8 @@
  * Sweep orchestration observability (src/sim/sweep): JSON-lines event
  * log well-formedness and wall-time reconciliation, pinned progress/ETA
  * line content, manifest schema and provenance, the sweep-counter
- * table, and Figure-8 port-analysis reconciliation against the raw
- * forensics records.
+ * table, the strict spec-count parser, and Figure-8 port-analysis
+ * reconciliation against the raw forensics records.
  */
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "sim/result_store.hh"
 #include "sim/suite_cache.hh"
 #include "sim/sweep.hh"
+#include "sim/sweep_spec.hh"
 #include "workload/suite.hh"
 
 using namespace lbp;
@@ -351,7 +353,7 @@ TEST(Sweep, ManifestParsesAndCarriesProvenance)
 
     // Every sweep counter the metrics table names must be present, and
     // the cell wall-time total must reconcile with the cells recorded.
-    for (const SweepMetricDesc &d : sweepMetrics()) {
+    for (const MetricDesc<SweepStats> &d : sweepMetrics()) {
         std::string quoted("\"");
         quoted += d.name;
         quoted += '"';
@@ -386,7 +388,7 @@ TEST(Sweep, MetricTableNamesUniqueAndBound)
     ASSERT_GE(table.size(), 12u);
 
     std::map<std::string, int> names;
-    for (const SweepMetricDesc &d : table)
+    for (const MetricDesc<SweepStats> &d : table)
         ++names[d.name];
     for (const auto &[name, count] : names)
         EXPECT_EQ(count, 1) << "duplicate sweep metric " << name;
@@ -405,7 +407,7 @@ TEST(Sweep, MetricTableNamesUniqueAndBound)
     s.cellWallSeconds = 3.5;
 
     MetricsRegistry reg;
-    registerSweepMetrics(reg, s);
+    registerMetrics(reg, sweepMetrics(), s);
     ASSERT_EQ(reg.scalars().size(), table.size());
     for (std::size_t i = 0; i < table.size(); ++i) {
         EXPECT_EQ(reg.scalars()[i].name, table[i].name);
@@ -413,7 +415,7 @@ TEST(Sweep, MetricTableNamesUniqueAndBound)
     }
 
     const auto value = [&](const char *name) {
-        for (const SweepMetricDesc &d : table)
+        for (const MetricDesc<SweepStats> &d : table)
             if (std::string(name) == d.name)
                 return d.get(s);
         ADD_FAILURE() << "missing sweep metric " << name;
@@ -425,6 +427,65 @@ TEST(Sweep, MetricTableNamesUniqueAndBound)
     EXPECT_EQ(value("sweep_wall_s"), 4.0);
     // Derived gauge: simulated Minstr over sweep wall time.
     EXPECT_DOUBLE_EQ(value("sweep_minstr_per_s"), 0.5);
+}
+
+// `suite`, `warmup` and `instr` share one strict parser: plain decimal
+// integers in range, nothing else.
+TEST(SweepSpec, CountParserIsStrict)
+{
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parseSpecCount("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseSpecCount("18446744073709551615", v));
+    EXPECT_EQ(v, 18446744073709551615ull);
+    EXPECT_TRUE(parseSpecCount("4294967295", v, 4294967295u));
+    EXPECT_EQ(v, 4294967295u);
+    v = 7;
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "2.7", "1e3",
+                            "abc", "12abc", "0x10",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseSpecCount(bad, v)) << "'" << bad << "'";
+    EXPECT_FALSE(parseSpecCount("4294967296", v, 4294967295u));
+    EXPECT_EQ(v, 7u);  // untouched on failure
+
+    EXPECT_TRUE(parseSpecCount(40000.0, v));
+    EXPECT_EQ(v, 40000u);
+    EXPECT_TRUE(parseSpecCount(1e3, v));  // JSON 1e3 is the integer 1000
+    EXPECT_EQ(v, 1000u);
+    v = 7;
+    for (double bad : {-1.0, 2.7, 1e30, 18446744073709551616.0,
+                       std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_FALSE(parseSpecCount(bad, v)) << bad;
+    EXPECT_FALSE(parseSpecCount(4294967296.0, v, 4294967295u));
+    EXPECT_EQ(v, 7u);
+}
+
+TEST(SweepSpec, MalformedCountsAreSpecErrors)
+{
+    for (const char *text :
+         {"warmup -1", "warmup 1e3", "warmup abc", "warmup", "instr 2.7",
+          "instr 5 6", "suite abc", "suite -3", "suite 4294967296",
+          "suite all 8"}) {
+        SweepSpec spec;
+        std::string err;
+        EXPECT_FALSE(parseSweepSpecText(text, spec, err)) << text;
+        EXPECT_EQ(err.rfind("spec: ", 0), 0u) << text << ": " << err;
+    }
+
+    SweepSpec spec;
+    std::string err;
+    ASSERT_TRUE(parseSweepSpecText("suite all\nwarmup 1000\n"
+                                   "instr 18446744073709551615\n",
+                                   spec, err))
+        << err;
+    EXPECT_TRUE(spec.fullSuite);
+    EXPECT_EQ(spec.suite, 0u);
+    EXPECT_EQ(spec.warmupInstrs, 1000u);
+    EXPECT_EQ(spec.measureInstrs, 18446744073709551615ull);
+    ASSERT_TRUE(parseSweepSpecText("suite 3  # three\n", spec, err));
+    EXPECT_FALSE(spec.fullSuite);
+    EXPECT_EQ(spec.suite, 3u);
 }
 
 // Figure-8 port analysis must reconcile exactly against the raw

@@ -28,6 +28,8 @@ TEST(ResolveJobs, ExplicitRequestWins)
     ASSERT_EQ(setenv("REPRO_JOBS", "7", 1), 0);
     EXPECT_EQ(resolveJobs(3), 3u);
     unsetenv("REPRO_JOBS");
+    // Capped like REPRO_JOBS: a wrapped -1 never reaches a pool.
+    EXPECT_EQ(resolveJobs(4294967295u), 1024u);
 }
 
 TEST(ResolveJobs, ReadsReproJobsEnv)

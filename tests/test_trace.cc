@@ -482,13 +482,13 @@ TEST(Trace, RunMetricTableMatchesRunResult)
     ASSERT_GE(table.size(), 20u);
 
     std::map<std::string, int> names;
-    for (const RunMetricDesc &d : table)
+    for (const MetricDesc<RunResult> &d : table)
         ++names[d.name];
     for (const auto &[name, count] : names)
         EXPECT_EQ(count, 1) << "duplicate metric name " << name;
 
     MetricsRegistry reg;
-    registerRunMetrics(reg, r);
+    registerMetrics(reg, runMetrics(), r);
     ASSERT_EQ(reg.scalars().size(), table.size());
     for (std::size_t i = 0; i < table.size(); ++i) {
         EXPECT_EQ(reg.scalars()[i].name, table[i].name);
@@ -498,7 +498,7 @@ TEST(Trace, RunMetricTableMatchesRunResult)
 
     // Spot-check a few bindings against the underlying fields.
     const auto value = [&](const char *name) {
-        for (const RunMetricDesc &d : table)
+        for (const MetricDesc<RunResult> &d : table)
             if (std::string(name) == d.name)
                 return d.get(r);
         ADD_FAILURE() << "missing metric " << name;

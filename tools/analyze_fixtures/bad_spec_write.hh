@@ -1,8 +1,8 @@
 // Negative fixture: a LocalPredictor subclass mutating its state from
 // predict() and from a helper reachable only from predict(). Both
 // writes bypass the repair interface and must be flagged.
-#ifndef LBP_ANALYZE_FIXTURE_BAD_SPEC_WRITE_HH
-#define LBP_ANALYZE_FIXTURE_BAD_SPEC_WRITE_HH
+#ifndef LBP_BAD_SPEC_WRITE_HH
+#define LBP_BAD_SPEC_WRITE_HH
 
 #include <set>
 

@@ -1,8 +1,8 @@
 // Clean fixture: all mutations sit inside sanctioned methods or a
 // private helper reachable only from sanctioned methods (the
 // transitive-sanction case, like LoopPredictor::runFor).
-#ifndef LBP_ANALYZE_FIXTURE_CLEAN_SPEC_HH
-#define LBP_ANALYZE_FIXTURE_CLEAN_SPEC_HH
+#ifndef LBP_CLEAN_SPEC_HH
+#define LBP_CLEAN_SPEC_HH
 
 #include <vector>
 

@@ -13,14 +13,14 @@
 
 #include <vector>
 
-struct RunMetricDesc {
+template <typename T> struct MetricDesc {
     const char *name;
-    double (*get)(const RunResult &);
+    double (*get)(const T &);
 };
 
-const std::vector<RunMetricDesc> &runMetrics()
+const std::vector<MetricDesc<RunResult>> &runMetrics()
 {
-    static const std::vector<RunMetricDesc> table = {
+    static const std::vector<MetricDesc<RunResult>> table = {
         {"fix_ipc", [](const RunResult &r) { return r.ipc; }},
         {"fix_cycles",
          [](const RunResult &r) {
@@ -33,14 +33,9 @@ const std::vector<RunMetricDesc> &runMetrics()
     return table;
 }
 
-struct ServeMetricDesc {
-    const char *name;
-    double (*get)(const ServeStats &);
-};
-
-const std::vector<ServeMetricDesc> &serveMetrics()
+const std::vector<MetricDesc<ServeStats>> &serveMetrics()
 {
-    static const std::vector<ServeMetricDesc> table = {
+    static const std::vector<MetricDesc<ServeStats>> table = {
         {"fix_serve_clients",
          [](const ServeStats &s) {
              return static_cast<double>(s.fixClients);
@@ -53,14 +48,9 @@ const std::vector<ServeMetricDesc> &serveMetrics()
     return table;
 }
 
-struct StoreMetricDesc {
-    const char *name;
-    double (*get)(const StoreStats &);
-};
-
-const std::vector<StoreMetricDesc> &storeMetrics()
+const std::vector<MetricDesc<StoreStats>> &storeMetrics()
 {
-    static const std::vector<StoreMetricDesc> table = {
+    static const std::vector<MetricDesc<StoreStats>> table = {
         {"fix_store_hits",
          [](const StoreStats &s) {
              return static_cast<double>(s.fixStoreHits);

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Scope-aware whole-program static analysis for the lbp simulator.
 
-lbp_analyze is the second-generation companion to lbp_lint: instead of
-per-line regexes it lexes every C++ file (comment/string-aware, length
-preserving), tracks brace scopes (namespace / class / function / lambda
-/ control block), and runs cross-file rules over the resulting scope
-model. No compiler is involved — the pass is driven purely by the file
-set, so it runs anywhere Python runs.
+lbp_analyze is the repo's one static checker: it lexes every C++ file
+(comment/string-aware, length preserving), tracks brace scopes
+(namespace / class / function / lambda / control block), and runs
+cross-file rules over the resulting scope model. No compiler is
+involved — the pass is driven purely by the file set, so it runs
+anywhere Python runs.
 
 Rules (findings print as ``rule:file:line: message``):
 
@@ -39,10 +39,12 @@ Rules (findings print as ``rule:file:line: message``):
       (wall-clock telemetry).
 
   stats-counter-dead
-      Every counter/histogram field of a ``*Stats`` struct must be
-      written somewhere in src/ (incremented, assigned or sampled). A
-      declared-but-dead counter reports a permanent zero and hides the
-      missing instrumentation.
+      Every counter/histogram field of a ``*Stats`` struct (nested ones
+      included) must be written somewhere in src/ (incremented,
+      assigned or sampled) and read somewhere else. A declared-but-dead
+      counter reports a permanent zero and hides the missing
+      instrumentation; a written-but-never-read one is a result that
+      never reaches any report.
 
   metric-row-coverage
       Whole-program counter coverage over the MetricsRegistry tables:
@@ -58,21 +60,29 @@ Rules (findings print as ``rule:file:line: message``):
       itself cannot see.
 
   no-raw-assert / no-raw-random / no-raw-time / no-raw-thread
-      Re-hosted from lbp_lint on the scope engine: the ThreadPool class
-      and resolveJobs() may touch std::thread, the Stopwatch class may
-      read the steady clock — everything else in src/ must use
-      lbp_assert, common/random.hh, and the ThreadPool. Scope-level
-      allows replace the old per-file exemption list.
+      The ThreadPool class and resolveJobs() may touch std::thread, the
+      Stopwatch class may read the steady clock — everything else in
+      src/ must use lbp_assert, common/random.hh, and the ThreadPool.
+      Exemptions are scope-level, never whole files.
 
   no-hot-path-alloc
-      Re-hosted from lbp_lint: the per-cycle stage functions of
-      OooCore (core/core.cc) and the predict/update path of
-      TagePredictor (bpu/tage.cc) must not allocate; bodies are found
-      via the scope model rather than brace-counting regexes.
+      The per-cycle stage functions of OooCore (core/core.cc) and the
+      predict/update path of TagePredictor (bpu/tage.cc) must not
+      allocate; bodies are found via the scope model.
 
-Suppression: a finding whose line (or the line above) carries
-``analyze:allow(<rule>)`` is suppressed. The legacy
-``lint:allow-hot-alloc`` marker is honored for no-hot-path-alloc.
+  obs-doc-comment
+      Every namespace-scope class in an obs/ or serve/ header, or in
+      one of the DOC_HEADERS, needs a ``///`` or ``/** */`` comment on
+      the line above it (above the ``template`` line for a class
+      template): these types are the export surface docs/METRICS.md,
+      TRACING.md, SWEEP.md and SERVER.md are written against.
+
+  include-guard / no-parent-include
+      Headers guard with LBP_<DIR>_<FILE>_HH matching their path, and
+      project includes are rooted at src/ (no "../" escapes).
+
+Suppression: a finding whose line (or the comment block above it)
+carries ``analyze:allow(<rule>)`` is suppressed.
 
 Baseline / diff: ``--baseline FILE --diff`` compares findings against a
 committed baseline (tools/analyze_baseline.json) keyed by
@@ -94,6 +104,7 @@ import sys
 from pathlib import Path
 
 CPP_SUFFIXES = {".cc", ".hh", ".cpp", ".hpp", ".h"}
+HEADER_SUFFIXES = {".hh", ".hpp", ".h"}
 
 # ---------------------------------------------------------------------
 # Lexing: length-preserving strip of comments, strings and preprocessor
@@ -181,18 +192,21 @@ CLASS_HEAD = re.compile(
 FUNC_NAME = re.compile(
     r"((?:\w+\s*::\s*)*~?\w+|operator\s*(?:\(\)|\[\]|[^\s(]+))\s*$")
 
+ACCESS_LABELS = re.compile(r"^\s*(?:(?:public|private|protected)\s*:\s*)+")
+
 
 class Scope:
     """One brace scope: kind is 'namespace', 'class', 'function',
     'lambda', 'block', 'enum' or 'init'."""
 
-    def __init__(self, kind, name, start, header, parent):
+    def __init__(self, kind, name, start, head, header, parent):
         self.kind = kind
         self.name = name          # class/function/namespace name
         self.owner = None         # enclosing or :: qualified class
         self.bases = ""           # class base list text
         self.start = start        # offset of the opening '{'
         self.end = None           # offset just past the closing '}'
+        self.head = head          # offset of the header's first token
         self.header = header
         self.parent = parent
         self.children = []
@@ -219,8 +233,10 @@ def _strip_templates(header):
 
 
 def _classify(header):
-    """Return (kind, name, bases) for the scope a '{' opens."""
-    h = _strip_templates(header).strip()
+    """Return (kind, name, bases) for the scope a '{' opens. Access
+    labels before the header ('public: struct X {') are not part of
+    it."""
+    h = _strip_templates(ACCESS_LABELS.sub("", header)).strip()
     if not h:
         return "block", "", ""
     if LAMBDA_TAIL.search(h):
@@ -280,7 +296,8 @@ def parse_scopes(code):
             header = code[header_start:i]
             kind, name, bases = _classify(header)
             parent = stack[-1] if stack else None
-            sc = Scope(kind, name, i, header.strip(), parent)
+            head = header_start + len(header) - len(header.lstrip())
+            sc = Scope(kind, name, i, head, header.strip(), parent)
             sc.bases = bases
             if kind == "function":
                 if "::" in name:
@@ -303,26 +320,6 @@ def parse_scopes(code):
     for sc in stack:  # unterminated (shouldn't happen on valid input)
         sc.end = n
     return scopes
-
-
-def enclosing(scope, kinds):
-    s = scope
-    while s is not None:
-        if s.kind in kinds:
-            return s
-        s = s.parent
-    return None
-
-
-def enclosing_class_name(scope):
-    s = scope
-    while s is not None:
-        if s.kind == "function" and s.owner:
-            return s.owner
-        if s.kind == "class":
-            return s.name
-        s = s.parent
-    return None
 
 
 # ---------------------------------------------------------------------
@@ -356,9 +353,7 @@ def class_fields(code, scope):
             body[b - 1] = ";"
     fields = {}
     for stmt in "".join(body).split(";"):
-        s = re.sub(r"^(?:\s*(?:public|private|protected)\s*:)+", "",
-                   stmt)
-        s = re.sub(r"\s+", " ", s).strip()
+        s = re.sub(r"\s+", " ", ACCESS_LABELS.sub("", stmt)).strip()
         if not s or SKIP_STMT.match(s):
             continue
         eq = s.find("=")
@@ -378,9 +373,10 @@ def class_fields(code, scope):
 
 
 class SourceFile:
-    def __init__(self, path, rel):
+    def __init__(self, path, rel, sub):
         self.path = path
         self.rel = rel  # posix path relative to the repo root
+        self.sub = sub  # posix path relative to the analyzed root
         self.raw = path.read_text(encoding="utf-8")
         self.stripped = strip_comments_and_strings(self.raw)
         self.code = blank_preprocessor(self.stripped)
@@ -390,15 +386,14 @@ class SourceFile:
     def line(self, pos):
         return line_of(self.code, pos)
 
-    def allowed(self, rule, line, extra_markers=()):
+    def allowed(self, rule, line):
         """Marker on the finding's line, or anywhere in the block of
         comment lines immediately above it."""
-        markers = [f"analyze:allow({rule})"] + list(extra_markers)
+        marker = f"analyze:allow({rule})"
 
         def hit(ln):
             if 1 <= ln <= len(self.raw_lines):
-                return any(m in self.raw_lines[ln - 1]
-                           for m in markers)
+                return marker in self.raw_lines[ln - 1]
             return False
 
         if hit(line):
@@ -426,9 +421,9 @@ class Finding:
         return f"{self.rule}|{self.rel}|{self.message}"
 
 
-def emit(findings, sf, rule, pos, message, extra_markers=()):
+def emit(findings, sf, rule, pos, message):
     line = sf.line(pos)
-    if sf.allowed(rule, line, extra_markers):
+    if sf.allowed(rule, line):
         return
     findings.append(Finding(rule, sf.rel, line, message))
 
@@ -691,7 +686,7 @@ def collect_stats_structs(files):
     structs."""
     out = []
     for sf in files:
-        if sf.path.suffix not in {".hh", ".hpp", ".h"}:
+        if sf.path.suffix not in HEADER_SUFFIXES:
             continue
         for sc in sf.scopes:
             if sc.kind != "class" or not sc.name.endswith("Stats"):
@@ -722,17 +717,27 @@ def check_stats_counter_dead(files, findings):
     blob = "\n".join(parts)
     for struct, field, sf, line in collect_stats_structs(files):
         f = re.escape(field)
-        written = re.search(
-            r"(?:\+\+|--)\s*[\w.\->\[\]]*\b%s\b"
-            r"|\b%s\s*(?:\+\+|--|(?:[+\-*/%%&|^]|<<|>>)?=(?!=))"
-            r"|\b%s\s*\.\s*sample\s*\(" % (f, f, f), blob)
-        if not written:
-            findings.append(Finding(
-                "stats-counter-dead", sf.rel, line,
-                f"{struct}::{field} is declared but never "
-                f"incremented/assigned/sampled anywhere in the "
-                f"analyzed tree — dead counters report permanent "
-                f"zeros"))
+        # Offsets of the field name at write sites; any other use of
+        # the name reads it.
+        writes = {m.start(1) if m.group(1) else m.start(2)
+                  for m in re.finditer(
+                      r"(?:\+\+|--)\s*[\w.\->\[\]]*\b(%s)\b"
+                      r"|\b(%s)\s*(?:\+\+|--|(?:[+\-*/%%&|^]|<<|>>)?="
+                      r"(?!=)|\.\s*sample\s*\()" % (f, f), blob)}
+        if not writes:
+            message = (f"{struct}::{field} is declared but never "
+                       f"incremented/assigned/sampled anywhere in the "
+                       f"analyzed tree — dead counters report "
+                       f"permanent zeros")
+        elif all(m.start() in writes
+                 for m in re.finditer(r"\b%s\b" % f, blob)):
+            message = (f"{struct}::{field} is written but never read "
+                       f"anywhere in the analyzed tree — a counter no "
+                       f"report reads is a silently dropped result")
+        else:
+            continue
+        findings.append(Finding("stats-counter-dead", sf.rel, line,
+                                message))
 
 
 # ---------------------------------------------------------------------
@@ -788,6 +793,35 @@ def table_rows(sf, func_name):
     return rows
 
 
+# The per-struct metric tables after runMetrics(): (struct, table
+# function, the surface rendered straight from the table). An uncovered
+# field is a counter its owner maintains but that surface never shows.
+STATS_TABLES = [
+    ("SweepStats", "sweepMetrics", "manifest"),
+    ("ServeStats", "serveMetrics", "stats frame"),
+    ("StoreStats", "storeMetrics", "scrape"),
+]
+
+
+def primary_counts(rows, fields):
+    """How many single-field (primary) rows read each of the fields."""
+    counts = {f: 0 for f in fields}
+    for _name, refs, _pos in rows:
+        if len(refs) == 1:
+            for ref in refs & counts.keys():
+                counts[ref] += 1
+    return counts
+
+
+def check_stale_rows(findings, sf, table, struct, rows, fields):
+    for name, refs, pos in rows:
+        for ref in refs:
+            if ref.split(".")[0] not in fields:
+                emit(findings, sf, "metric-row-coverage", pos,
+                     f"{table}() row '{name}' reads '{ref}', which "
+                     f"is not a {struct} field — stale row")
+
+
 def check_metric_rows(files, findings):
     runner_sf, runres = find_struct(files, "RunResult")
     metrics_sf = None
@@ -800,14 +834,14 @@ def check_metric_rows(files, findings):
         return  # tree without a metrics surface (partial fixtures)
 
     run_rows = table_rows(metrics_sf, "runMetrics") or []
-    sweep_rows = table_rows(metrics_sf, "sweepMetrics") or []
-    serve_rows = table_rows(metrics_sf, "serveMetrics") or []
-    store_rows = table_rows(metrics_sf, "storeMetrics") or []
+    tables = [(struct, table, surface,
+               table_rows(metrics_sf, table) or [])
+              for struct, table, surface in STATS_TABLES]
 
     # Row-name uniqueness across all four tables.
     seen = {}
-    for name, _refs, pos in (run_rows + sweep_rows + serve_rows +
-                             store_rows):
+    for name, _refs, pos in run_rows + [row for *_, rows in tables
+                                        for row in rows]:
         if name in seen:
             emit(findings, metrics_sf, "metric-row-coverage", pos,
                  f"metric row name '{name}' is declared twice; "
@@ -817,28 +851,19 @@ def check_metric_rows(files, findings):
     # RunResult numeric fields (plus the expanded CoreStats behind
     # RunResult::stats) must each be read by exactly one row.
     fields = class_fields(runner_sf.code, runres)
-    known_paths = set()
     expect = {}
     for fname, ftype in fields.items():
         base = ftype.replace("const", "").strip()
         if base in NUMERIC_TYPES:
             expect[fname] = (runner_sf, runres.start)
-            known_paths.add(fname)
         elif base == "CoreStats":
             core_sf, core = find_struct(files, "CoreStats")
             if core is not None:
                 for cf, ct in class_fields(core_sf.code, core).items():
                     if ct.replace("const", "").strip() in NUMERIC_TYPES:
                         expect[f"{fname}.{cf}"] = (core_sf, core.start)
-                        known_paths.add(f"{fname}.{cf}")
 
-    counts = {path: 0 for path in expect}
-    for _name, refs, _pos in run_rows:
-        primary = len(refs) == 1
-        for ref in refs:
-            if ref in counts and primary:
-                counts[ref] += 1
-    for path, cnt in sorted(counts.items()):
+    for path, cnt in sorted(primary_counts(run_rows, expect).items()):
         sf, pos = expect[path]
         if cnt == 0:
             emit(findings, sf, "metric-row-coverage", pos,
@@ -850,123 +875,32 @@ def check_metric_rows(files, findings):
                  f"RunResult field '{path}' is exported by {cnt} "
                  f"runMetrics() rows; exactly one primary row per "
                  f"field")
+    check_stale_rows(findings, metrics_sf, "runMetrics", "RunResult",
+                     run_rows, fields)
 
-    # Rows must not reference unknown RunResult fields.
-    for name, refs, pos in run_rows:
-        for ref in refs:
-            if ref.split(".")[0] not in fields:
-                emit(findings, metrics_sf, "metric-row-coverage", pos,
-                     f"runMetrics() row '{name}' reads '{ref}', which "
-                     f"is not a RunResult field — stale row")
-
-    # SweepStats coverage (when the tree has a sweep surface).
-    sweep_sf, sweep = find_struct(files, "SweepStats")
-    if sweep is not None and sweep_rows:
-        sfields = {f: t for f, t in
-                   class_fields(sweep_sf.code, sweep).items()
+    # Each stats struct the tree has a table for: every numeric field
+    # read by exactly one primary row, and no stale rows.
+    for struct, table, surface, rows in tables:
+        sf, sc = find_struct(files, struct)
+        if sc is None or not rows:
+            continue
+        sfields = {f for f, t in class_fields(sf.code, sc).items()
                    if t.replace("const", "").strip() in NUMERIC_TYPES}
-        scount = {f: 0 for f in sfields}
-        for _name, refs, _pos in sweep_rows:
-            primary = len(refs) == 1
-            for ref in refs:
-                if ref in scount and primary:
-                    scount[ref] += 1
-        for field, cnt in sorted(scount.items()):
+        for field, cnt in sorted(primary_counts(rows, sfields).items()):
             if cnt == 0:
-                emit(findings, sweep_sf, "metric-row-coverage",
-                     sweep.start,
-                     f"SweepStats field '{field}' has no primary "
-                     f"sweepMetrics() row — the manifest never "
-                     f"reports it")
+                emit(findings, sf, "metric-row-coverage", sc.start,
+                     f"{struct} field '{field}' has no primary "
+                     f"{table}() row — the {surface} never reports it")
             elif cnt > 1:
-                emit(findings, sweep_sf, "metric-row-coverage",
-                     sweep.start,
-                     f"SweepStats field '{field}' is exported by "
-                     f"{cnt} primary sweepMetrics() rows; exactly one")
-        for name, refs, pos in sweep_rows:
-            for ref in refs:
-                if ref.split(".")[0] not in sfields:
-                    emit(findings, metrics_sf, "metric-row-coverage",
-                         pos,
-                         f"sweepMetrics() row '{name}' reads '{ref}', "
-                         f"which is not a SweepStats field — stale "
-                         f"row")
-
-    # ServeStats coverage (when the tree has a serve surface). The
-    # stats frame of lbp-serve-v1 is rendered straight from this
-    # table, so an uncovered field is a counter the daemon maintains
-    # but never reports to clients.
-    serve_sf, serve = find_struct(files, "ServeStats")
-    if serve is not None and serve_rows:
-        vfields = {f: t for f, t in
-                   class_fields(serve_sf.code, serve).items()
-                   if t.replace("const", "").strip() in NUMERIC_TYPES}
-        vcount = {f: 0 for f in vfields}
-        for _name, refs, _pos in serve_rows:
-            primary = len(refs) == 1
-            for ref in refs:
-                if ref in vcount and primary:
-                    vcount[ref] += 1
-        for field, cnt in sorted(vcount.items()):
-            if cnt == 0:
-                emit(findings, serve_sf, "metric-row-coverage",
-                     serve.start,
-                     f"ServeStats field '{field}' has no primary "
-                     f"serveMetrics() row — the stats frame never "
-                     f"reports it")
-            elif cnt > 1:
-                emit(findings, serve_sf, "metric-row-coverage",
-                     serve.start,
-                     f"ServeStats field '{field}' is exported by "
-                     f"{cnt} primary serveMetrics() rows; exactly one")
-        for name, refs, pos in serve_rows:
-            for ref in refs:
-                if ref.split(".")[0] not in vfields:
-                    emit(findings, metrics_sf, "metric-row-coverage",
-                         pos,
-                         f"serveMetrics() row '{name}' reads '{ref}', "
-                         f"which is not a ServeStats field — stale "
-                         f"row")
-
-    # StoreStats coverage (when the tree has a result-store surface).
-    # The daemon scrape and the manifest's store section are rendered
-    # straight from this table, so an uncovered field is accounting
-    # the store keeps but never exposes.
-    store_sf, store = find_struct(files, "StoreStats")
-    if store is not None and store_rows:
-        tfields = {f: t for f, t in
-                   class_fields(store_sf.code, store).items()
-                   if t.replace("const", "").strip() in NUMERIC_TYPES}
-        tcount = {f: 0 for f in tfields}
-        for _name, refs, _pos in store_rows:
-            primary = len(refs) == 1
-            for ref in refs:
-                if ref in tcount and primary:
-                    tcount[ref] += 1
-        for field, cnt in sorted(tcount.items()):
-            if cnt == 0:
-                emit(findings, store_sf, "metric-row-coverage",
-                     store.start,
-                     f"StoreStats field '{field}' has no primary "
-                     f"storeMetrics() row — the scrape never "
-                     f"reports it")
-            elif cnt > 1:
-                emit(findings, store_sf, "metric-row-coverage",
-                     store.start,
-                     f"StoreStats field '{field}' is exported by "
-                     f"{cnt} primary storeMetrics() rows; exactly one")
-        for name, refs, pos in store_rows:
-            for ref in refs:
-                if ref.split(".")[0] not in tfields:
-                    emit(findings, metrics_sf, "metric-row-coverage",
-                         pos,
-                         f"storeMetrics() row '{name}' reads '{ref}', "
-                         f"which is not a StoreStats field — stale "
-                         f"row")
+                emit(findings, sf, "metric-row-coverage", sc.start,
+                     f"{struct} field '{field}' is exported by {cnt} "
+                     f"primary {table}() rows; exactly one")
+        check_stale_rows(findings, metrics_sf, table, struct, rows,
+                         sfields)
 
 
 # ---------------------------------------------------------------------
-# Re-hosted rules: banned calls and hot-path allocation
+# Rules: banned calls and hot-path allocation
 # ---------------------------------------------------------------------
 
 BANNED_CALLS = [
@@ -997,8 +931,7 @@ BANNED_INCLUDES = [
 ]
 
 # Scopes sanctioned to implement the wrapped facility: class scopes by
-# name, function scopes by (owner or bare) name. Replaces lbp_lint's
-# whole-file exemptions.
+# name, function scopes by (owner or bare) name.
 SCOPE_ALLOW = {
     "no-raw-thread": {("class", "ThreadPool"),
                       ("function", "resolveJobs")},
@@ -1030,9 +963,6 @@ def check_banned_calls(sf, findings):
         # Includes live on blanked preprocessor lines; scan the
         # stripped text instead.
         for m in pattern.finditer(sf.stripped):
-            posix = sf.rel
-            if rule == "no-raw-thread" and "thread_pool" in posix:
-                continue
             emit(findings, sf, rule, m.start(), message)
 
 
@@ -1051,8 +981,6 @@ HOT_ALLOC_FUNCS = {
 HOT_ALLOC_PATTERN = re.compile(
     r"\bnew\b|\bmake_unique\s*<|\bmake_shared\s*<|"
     r"\.\s*(?:push_back|emplace_back|resize|reserve)\s*\(")
-
-LEGACY_HOT_ALLOW = "lint:allow-hot-alloc"
 
 
 def check_hot_path_alloc(sf, findings):
@@ -1076,8 +1004,66 @@ def check_hot_path_alloc(sf, findings):
                  f"allocation in hot function {sc.name}(): the "
                  f"per-cycle path must use preallocated pools/rings "
                  f"(construction-time code may carry "
-                 f"'// {LEGACY_HOT_ALLOW}')",
-                 extra_markers=(LEGACY_HOT_ALLOW,))
+                 f"'// analyze:allow(no-hot-path-alloc)')")
+
+
+# ---------------------------------------------------------------------
+# Rules: export-surface doc comments and include hygiene
+# ---------------------------------------------------------------------
+
+# Headers outside obs/ and serve/ whose namespace-scope types are part
+# of the documented surface: the sweep, store and runner headers that
+# docs/SWEEP.md, docs/METRICS.md and the manifest schema describe, the
+# wire-format helpers, and the public containers every layer reuses.
+DOC_DIRS = ("obs/", "serve/")
+DOC_HEADERS = {
+    "sim/sweep.hh", "sim/result_store.hh", "sim/runner.hh",
+    "common/ring_queue.hh", "common/event_wheel.hh",
+    "common/sat_counter.hh", "common/set_assoc.hh",
+    "common/jsonl.hh", "common/socket.hh",
+}
+
+
+def check_doc_comments(sf, findings):
+    if sf.path.suffix not in HEADER_SUFFIXES or not (
+            sf.sub.startswith(DOC_DIRS) or sf.sub in DOC_HEADERS):
+        return
+    for sc in sf.scopes:
+        if sc.kind != "class" or (sc.parent is not None
+                                  and sc.parent.kind != "namespace"):
+            continue
+        # The header starts at the `template` introducer of a class
+        # template, which is where its doc comment goes.
+        line = sf.line(sc.head)
+        prev = sf.raw_lines[line - 2].strip() if line >= 2 else ""
+        if not (prev.startswith("///") or prev.endswith("*/")):
+            emit(findings, sf, "obs-doc-comment", sc.head,
+                 f"{sc.name} is part of the observability export "
+                 f"surface and needs a /// or /** doc comment")
+
+
+GUARD_IFNDEF = re.compile(r"#\s*ifndef\s+(\w+)")
+PARENT_INCLUDE = re.compile(r"#\s*include\s*\"(\.\./[^\"]*)\"")
+
+
+def check_include_hygiene(sf, findings):
+    if sf.path.suffix in HEADER_SUFFIXES:
+        *dirs, name = sf.sub.split("/")
+        stem = re.sub(r"[^A-Za-z0-9]", "_", Path(name).stem)
+        want = "_".join(["LBP", *dirs, stem]).upper() + "_HH"
+        m = GUARD_IFNDEF.search(sf.stripped)
+        if not m or m.group(1) != want:
+            emit(findings, sf, "include-guard", m.start() if m else 0,
+                 f"include guard should be {want} "
+                 f"(found {m.group(1) if m else 'none'})")
+    # Include paths are string literals, blanked in the stripped text:
+    # match the raw text, and skip matches the stripped text shows to
+    # sit inside a comment.
+    for m in PARENT_INCLUDE.finditer(sf.raw):
+        if sf.stripped[m.start()] == "#":
+            emit(findings, sf, "no-parent-include", m.start(),
+                 f"include \"{m.group(1)}\" escapes src/; use a "
+                 f"src-rooted path")
 
 
 # ---------------------------------------------------------------------
@@ -1093,16 +1079,18 @@ RULE_IDS = [
      "Container keyed or hashed by pointer values"),
     ("parallel-float-accum",
      "Order-dependent float accumulation in a parallel worker"),
-    ("stats-counter-dead", "Stats counter declared but never written"),
+    ("stats-counter-dead", "Stats counter never written or never read"),
     ("metric-row-coverage",
      "RunResult/SweepStats/ServeStats/StoreStats field vs "
-     "metric-table row "
-     "mismatch"),
+     "metric-table row mismatch"),
     ("no-raw-assert", "Raw assert() instead of lbp_assert"),
     ("no-raw-random", "Unseeded libc/std randomness"),
     ("no-raw-time", "Wall-clock access outside Stopwatch"),
     ("no-raw-thread", "Thread spawned outside ThreadPool"),
     ("no-hot-path-alloc", "Allocation on the per-cycle hot path"),
+    ("obs-doc-comment", "Undocumented type on the export surface"),
+    ("include-guard", "Include guard does not match the header path"),
+    ("no-parent-include", "Include path escapes src/ with ../"),
 ]
 
 
@@ -1113,7 +1101,8 @@ def analyze_tree(repo_root, src_root):
             rel = path.relative_to(repo_root).as_posix()
         except ValueError:
             rel = path.as_posix()
-        files.append(SourceFile(path, rel))
+        files.append(SourceFile(path, rel,
+                                path.relative_to(src_root).as_posix()))
 
     findings = []
     predictor_classes = collect_predictor_classes(files)
@@ -1125,6 +1114,8 @@ def analyze_tree(repo_root, src_root):
         check_parallel_float_accum(sf, float_fields, findings)
         check_banned_calls(sf, findings)
         check_hot_path_alloc(sf, findings)
+        check_doc_comments(sf, findings)
+        check_include_hygiene(sf, findings)
     check_stats_counter_dead(files, findings)
     check_metric_rows(files, findings)
     findings.sort(key=lambda f: (f.rel, f.line, f.rule))
@@ -1175,6 +1166,8 @@ def load_baseline(path):
 # Self-test over tools/analyze_fixtures/
 # ---------------------------------------------------------------------
 
+# Exact finding counts per fixture, keyed by fixture-relative path (the
+# doc-comment rule matches on directory, so obs/ and sim/ matter).
 FIXTURE_EXPECT = {
     "bad_spec_write.hh": {"spec-state-write": 2},
     "clean_spec.hh": {},
@@ -1182,15 +1175,21 @@ FIXTURE_EXPECT = {
     "bad_pointer_key.hh": {"pointer-keyed-container": 2},
     "bad_parallel_accum.cc": {"parallel-float-accum": 1},
     "clean_determinism.cc": {},
-    "bad_counters.hh": {"stats-counter-dead": 1},
+    "bad_counters.hh": {"stats-counter-dead": 2},
+    "nested_stats.hh": {"stats-counter-dead": 1},
     "runner.hh": {"metric-row-coverage": 2},
     "metrics.cc": {"metric-row-coverage": 4},
     "protocol.hh": {"metric-row-coverage": 1},
     "result_store.hh": {"metric-row-coverage": 1},
-    "core.cc": {"no-hot-path-alloc": 2},
+    "core/core.cc": {"no-hot-path-alloc": 2},
     "bad_calls.cc": {"no-raw-assert": 1, "no-raw-random": 1,
                      "no-raw-time": 1},
     "bad_thread.cc": {"no-raw-thread": 1},
+    "bad_include.hh": {"include-guard": 1, "no-parent-include": 1},
+    "obs/bad_obs.hh": {"obs-doc-comment": 1},
+    "serve/bad_serve.hh": {"obs-doc-comment": 1},
+    "sim/sweep.hh": {"obs-doc-comment": 1},
+    "common/ring_queue.hh": {"obs-doc-comment": 1},
     "clean.hh": {},
 }
 
@@ -1204,7 +1203,7 @@ def self_test(repo_root):
 
     by_file = {}
     for f in findings:
-        name = Path(f.rel).name
+        name = (repo_root / f.rel).relative_to(fixtures).as_posix()
         by_file.setdefault(name, {})
         by_file[name][f.rule] = by_file[name].get(f.rule, 0) + 1
 

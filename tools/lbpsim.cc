@@ -392,12 +392,12 @@ writeCsv(const std::string &path, const SuiteResult &res)
     // Columns come from the shared metric table (src/obs/metrics.cc):
     // one naming authority for CSV, --metrics-json and docs/METRICS.md.
     out << "workload,category";
-    for (const RunMetricDesc &d : runMetrics())
+    for (const MetricDesc<RunResult> &d : runMetrics())
         out << ',' << d.name;
     out << '\n';
     for (const RunResult &r : res.runs) {
         out << r.workload << ',' << r.category;
-        for (const RunMetricDesc &d : runMetrics()) {
+        for (const MetricDesc<RunResult> &d : runMetrics()) {
             const double v = d.get(r);
             out << ',';
             if (d.integral)
@@ -471,7 +471,7 @@ writeObsOutputs(const Options &opt, const std::vector<RunResult> &runs)
         for (std::size_t i = 0; i < runs.size(); ++i) {
             const RunResult &r = runs[i];
             MetricsRegistry reg;
-            registerRunMetrics(reg, r);
+            registerMetrics(reg, runMetrics(), r);
             if (r.obs) {
                 reg.histogram("resolve_latency", "cycles",
                               "Fetch-to-resolve latency per squashed "

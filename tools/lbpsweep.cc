@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -144,24 +145,42 @@ parseOptions(int argc, char **argv, Options &opt)
             v = argv[++i];
         }
         const std::string flag = spec->flag;
+        // The counting flags share the spec grammar's strict parser.
+        const auto count = [&](std::uint64_t &out, std::uint64_t max) {
+            if (parseSpecCount(v, out, max))
+                return true;
+            std::fprintf(stderr,
+                         "lbpsweep: %s wants an integer in [0, %llu]%s, "
+                         "got '%s'\n",
+                         spec->flag, static_cast<unsigned long long>(max),
+                         flag == "--suite" ? " or 'all'" : "", v);
+            return false;
+        };
+        constexpr unsigned u32Max = std::numeric_limits<unsigned>::max();
+        constexpr std::uint64_t u64Max =
+            std::numeric_limits<std::uint64_t>::max();
+        std::uint64_t n = 0;
         if (flag == "--help") {
             usage();
             std::exit(0);
         } else if (flag == "--spec") {
             opt.specPath = v;
         } else if (flag == "--suite") {
-            if (std::string(v) == "all") {
+            if (std::string(v) == "all")
                 opt.fullSuite = true;
-                opt.suite = 0;
-            } else {
-                opt.suite = static_cast<unsigned>(std::atoi(v));
-            }
+            else if (!count(n, u32Max))
+                return false;
+            opt.suite = static_cast<unsigned>(n);
         } else if (flag == "--warmup") {
-            opt.warmup = std::strtoull(v, nullptr, 10);
+            if (!count(opt.warmup, u64Max))
+                return false;
         } else if (flag == "--instr") {
-            opt.instrs = std::strtoull(v, nullptr, 10);
+            if (!count(opt.instrs, u64Max))
+                return false;
         } else if (flag == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::atoi(v));
+            if (!count(n, u32Max))
+                return false;
+            opt.jobs = static_cast<unsigned>(n);
         } else if (flag == "--store") {
             opt.storeDir = v;
             opt.storeFromFlag = true;
