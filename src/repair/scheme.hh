@@ -75,6 +75,13 @@ enum class LocalKind
 /** M-N-P structure configuration from the paper's figures. */
 struct RepairPorts
 {
+    /** Accepted M range for a user-supplied M-N-P: the OBQ needs two
+     *  entries, and the cap keeps a typo from sizing a huge ring. */
+    static constexpr unsigned minEntries = 2;
+    static constexpr unsigned maxEntries = 4096;
+    /** Accepted N and P range is [1, maxPorts]. */
+    static constexpr unsigned maxPorts = 64;
+
     unsigned entries = 32;        ///< OBQ / snapshot-queue entries
     unsigned readPorts = 4;       ///< checkpoint-structure read ports
     unsigned bhtWritePorts = 2;   ///< BHT write ports usable for repair
@@ -89,7 +96,10 @@ struct RepairConfig
     LocalTwoLevelConfig twoLevel{};
     RepairPorts ports{};
     bool coalesce = false;        ///< ForwardWalk: OBQ entry merging
-    unsigned limitedM = 4;        ///< LimitedPc: PCs repaired
+    /** Largest limitedM: the width of LimitedPc's per-instruction
+     *  payload. */
+    static constexpr unsigned maxLimitedM = 16;
+    unsigned limitedM = 4;        ///< LimitedPc: PCs repaired, >= 1
     bool limitedInvalidate = false;  ///< LimitedPc: invalidate the rest
     bool msSplitPt = false;       ///< MultiStage: split the PT
     /** FutureFile: associative-search window (entries from the tail a

@@ -202,7 +202,7 @@ class LimitedPcScheme : public RepairScheme
     bool bhtUsable(Addr pc, Cycle now) const override;
 
   private:
-    static constexpr unsigned maxM = 16;
+    static constexpr unsigned maxM = RepairConfig::maxLimitedM;
     static constexpr unsigned payloadRingLog = 13;
 
     struct Payload

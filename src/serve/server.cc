@@ -830,8 +830,9 @@ struct Server::Impl
                    std::to_string(pendingDepth()) + "}");
     }
 
-    /** The resident suite for @p spec's selection, built (and made
-     *  resident) on the event loop when the selection changed. */
+    /** The resident suite for @p spec's selection, built on
+     *  opts.jobs workers (the event loop waits) and made resident
+     *  when the selection changed. */
     SuitePtr
     suiteFor(const SweepSpec &spec)
     {
@@ -840,7 +841,7 @@ struct Server::Impl
         if (!residentSuite || want.seed != residentOpts.seed ||
             want.maxWorkloads != residentOpts.maxWorkloads) {
             residentSuite = std::make_shared<const std::vector<Program>>(
-                buildSpecSuite(spec));
+                buildSpecSuite(spec, opts.jobs));
             residentOpts = want;
             ++st.suiteBuilds;
         }

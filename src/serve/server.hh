@@ -43,7 +43,8 @@ struct ServeOptions
     std::string host = "127.0.0.1";  ///< bind address (loopback)
     std::uint16_t port = 0;          ///< 0 = kernel-assigned port
 
-    unsigned jobs = 0;  ///< per-sweep workers; 0 = resolveJobs default
+    /** Workers per sweep and per suite build; 0 = resolveJobs default. */
+    unsigned jobs = 0;
 
     /** Persistent store shared by every request; null = memory only. */
     ResultStore *store = nullptr;

@@ -1,6 +1,7 @@
 #include "sim/result_store.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <charconv>
 #include <chrono>
@@ -12,6 +13,8 @@
 #include <limits>
 #include <sstream>
 #include <string_view>
+
+#include <unistd.h>
 
 #include "common/logging.hh"
 
@@ -472,8 +475,14 @@ ResultStore::save(const std::string &suite_key,
     const std::filesystem::path dir(dir_);
     const std::filesystem::path path =
         dir / entryFileName(fp, suite_key, config_key);
+    // One temp file per save (pid plus a process-wide counter): writers
+    // saving the same entry, in this process or another, never share
+    // one. The .tmp ending keeps GC away from it.
+    static std::atomic<std::uint64_t> saveSeq{0};
     const std::filesystem::path tmp =
-        path.string() + ".tmp";
+        path.string() + "." + std::to_string(::getpid()) + "-" +
+        std::to_string(saveSeq.fetch_add(1, std::memory_order_relaxed)) +
+        ".tmp";
 
     std::lock_guard<std::mutex> lk(mu_);
     std::error_code ec;
@@ -493,6 +502,8 @@ ResultStore::save(const std::string &suite_key,
         if (!out) {
             warnImpl(("result store: short write to " + tmp.string())
                          .c_str());
+            out.close();
+            std::filesystem::remove(tmp, ec);
             return false;
         }
     }
@@ -502,6 +513,7 @@ ResultStore::save(const std::string &suite_key,
     if (ec) {
         warnImpl(("result store: cannot install " + path.string())
                      .c_str());
+        std::filesystem::remove(tmp, ec);
         return false;
     }
     ++stats_.writes;

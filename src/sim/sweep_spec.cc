@@ -2,8 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/suite_cache.hh"
@@ -36,6 +34,55 @@ parseSpecCount(double value, std::uint64_t &out, std::uint64_t max)
         return false;
     out = static_cast<std::uint64_t>(value);
     return true;
+}
+
+bool
+parseRepairPorts(std::string_view text, RepairPorts &out)
+{
+    // Split at the first two dashes; each part then takes the strict
+    // count parser, which rejects signs, spaces and trailing text.
+    const std::size_t d1 = text.find('-');
+    const std::size_t d2 = d1 == std::string_view::npos
+                               ? d1
+                               : text.find('-', d1 + 1);
+    if (d2 == std::string_view::npos)
+        return false;
+    std::uint64_t m = 0, n = 0, p = 0;
+    if (!parseSpecCount(text.substr(0, d1), m, RepairPorts::maxEntries) ||
+        !parseSpecCount(text.substr(d1 + 1, d2 - d1 - 1), n,
+                        RepairPorts::maxPorts) ||
+        !parseSpecCount(text.substr(d2 + 1), p, RepairPorts::maxPorts) ||
+        m < RepairPorts::minEntries || n < 1 || p < 1)
+        return false;
+    out = {static_cast<unsigned>(m), static_cast<unsigned>(n),
+           static_cast<unsigned>(p)};
+    return true;
+}
+
+bool
+parseLimitedM(std::string_view text, unsigned &out)
+{
+    std::uint64_t m = 0;
+    if (!parseSpecCount(text, m, RepairConfig::maxLimitedM) || m < 1)
+        return false;
+    out = static_cast<unsigned>(m);
+    return true;
+}
+
+std::string
+repairPortsRange()
+{
+    return "M-N-P with M in [" + std::to_string(RepairPorts::minEntries) +
+           ", " + std::to_string(RepairPorts::maxEntries) +
+           "] and N, P in [1, " + std::to_string(RepairPorts::maxPorts) +
+           "]";
+}
+
+std::string
+limitedMRange()
+{
+    return "an integer in [1, " +
+           std::to_string(RepairConfig::maxLimitedM) + "]";
 }
 
 bool
@@ -112,12 +159,10 @@ parseConfigLine(std::istringstream &ls, const SweepSpec &spec,
         if (k == "name") {
             out.name = v;
         } else if (k == "ports") {
-            unsigned m = 0, n = 0, p = 0;
-            if (std::sscanf(v.c_str(), "%u-%u-%u", &m, &n, &p) != 3) {
-                error = "spec: ports wants M-N-P";
+            if (!parseRepairPorts(v, out.cfg.repair.ports)) {
+                error = "spec: ports wants " + repairPortsRange();
                 return false;
             }
-            out.cfg.repair.ports = {m, n, p};
         } else if (k == "loop") {
             if (v == "64")
                 out.cfg.repair.loop = LoopConfig::entries64();
@@ -141,8 +186,10 @@ parseConfigLine(std::istringstream &ls, const SweepSpec &spec,
                 return false;
             }
         } else if (k == "limited-m") {
-            out.cfg.repair.limitedM =
-                static_cast<unsigned>(std::atoi(v.c_str()));
+            if (!parseLimitedM(v, out.cfg.repair.limitedM)) {
+                error = "spec: limited-m wants " + limitedMRange();
+                return false;
+            }
         } else {
             error = "spec: unknown config key '" + k + "'";
             return false;
@@ -245,9 +292,9 @@ specSuiteOptions(const SweepSpec &spec)
 }
 
 std::vector<Program>
-buildSpecSuite(const SweepSpec &spec)
+buildSpecSuite(const SweepSpec &spec, unsigned jobs)
 {
-    return buildSuite(specSuiteOptions(spec));
+    return buildSuite(specSuiteOptions(spec), jobs);
 }
 
 std::string

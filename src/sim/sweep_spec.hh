@@ -64,6 +64,27 @@ bool parseSpecCount(double value, std::uint64_t &out,
                         std::numeric_limits<std::uint64_t>::max());
 
 /**
+ * Parse a `ports` value "M-N-P": exactly three plain decimals (see
+ * parseSpecCount) with M in [RepairPorts::minEntries,
+ * RepairPorts::maxEntries] and N, P in [1, RepairPorts::maxPorts].
+ * Returns false, leaving @p out untouched, for anything else.
+ */
+bool parseRepairPorts(std::string_view text, RepairPorts &out);
+
+/**
+ * Parse a `limited-m` value: a plain decimal in
+ * [1, RepairConfig::maxLimitedM]. Returns false, leaving @p out
+ * untouched, for anything else.
+ */
+bool parseLimitedM(std::string_view text, unsigned &out);
+
+/** What parseRepairPorts() accepts, for error messages. */
+std::string repairPortsRange();
+
+/** What parseLimitedM() accepts, for error messages. */
+std::string limitedMRange();
+
+/**
  * Scheme-name -> RepairKind mapping ("perfect", "forward-walk", ...).
  * False when @p name names no scheme ("baseline" is not a scheme: it
  * is the TAGE-only configuration config lines special-case).
@@ -94,8 +115,9 @@ void finalizeSweepSpec(SweepSpec &spec);
 SuiteOptions specSuiteOptions(const SweepSpec &spec);
 
 /** Build the workload suite @p spec selects: buildSuite() of
- *  specSuiteOptions(@p spec). */
-std::vector<Program> buildSpecSuite(const SweepSpec &spec);
+ *  specSuiteOptions(@p spec) on @p jobs workers. */
+std::vector<Program> buildSpecSuite(const SweepSpec &spec,
+                                    unsigned jobs = 0);
 
 /**
  * The cross-client identity of a sweep request: suiteKey(suite)

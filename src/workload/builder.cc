@@ -59,8 +59,18 @@ ProgramBuilder::addStream(const MemStream &ms)
 std::uint32_t
 ProgramBuilder::newBlock()
 {
-    prog_.blocks.emplace_back();
+    BasicBlock &bb = prog_.blocks.emplace_back();
+    bb.first = static_cast<std::uint32_t>(prog_.insts.size());
     return static_cast<std::uint32_t>(prog_.blocks.size() - 1);
+}
+
+void
+ProgramBuilder::appendInst(std::uint32_t block_idx, const StaticInst &si)
+{
+    // Bodies are slices of one array, so only the newest block can grow.
+    lbp_assert(block_idx + 1 == prog_.blocks.size());
+    prog_.insts.push_back(si);
+    ++prog_.blocks[block_idx].count;
 }
 
 void
@@ -102,7 +112,7 @@ ProgramBuilder::fillBody(std::uint32_t block_idx, unsigned n_instrs)
                     1 + ((h2 >> 24) % mix_.depDistMax));
             }
         }
-        prog_.blocks[block_idx].body.push_back(si);
+        appendInst(block_idx, si);
     }
 }
 
@@ -134,16 +144,16 @@ ProgramBuilder::addBranch(std::uint32_t block_idx, BehaviorPtr behavior)
             feed.stream = static_cast<std::uint8_t>(
                 (h >> 9) % prog_.streams.size());
         }
-        prog_.blocks[block_idx].body.push_back(feed);
+        appendInst(block_idx, feed);
         StaticInst term;
         term.cls = InstClass::CondBranch;
         term.dep1 = 1;
-        prog_.blocks[block_idx].body.push_back(term);
+        appendInst(block_idx, term);
     } else {
         StaticInst term;
         term.cls = InstClass::CondBranch;
         term.dep1 = static_cast<std::uint8_t>(1 + (h % 3));
-        prog_.blocks[block_idx].body.push_back(term);
+        appendInst(block_idx, term);
     }
     prog_.blocks[block_idx].branchId =
         static_cast<int>(prog_.branches.size() - 1);
@@ -203,9 +213,9 @@ void
 ProgramBuilder::assignAddresses()
 {
     Addr pc = 0x400000;
-    for (auto &bb : prog_.blocks) {
-        for (auto &si : bb.body) {
-            si.pc = pc;
+    for (const auto &bb : prog_.blocks) {
+        for (std::uint32_t i = 0; i < bb.count; ++i) {
+            prog_.insts[bb.first + i].pc = pc;
             pc += 4;
         }
         // Leave a gap between blocks so taken targets look like real
@@ -213,7 +223,7 @@ ProgramBuilder::assignAddresses()
         pc += 4;
     }
     for (auto &br : prog_.branches)
-        br.pc = prog_.blocks[br.blockIdx].body.back().pc;
+        br.pc = prog_.body(br.blockIdx).back().pc;
 }
 
 Program
@@ -230,7 +240,7 @@ ProgramBuilder::build(std::vector<Seg> top_level)
     fillBody(back_jump, 1);
     StaticInst jmp;
     jmp.cls = InstClass::Jump;
-    prog_.blocks[back_jump].body.push_back(jmp);
+    appendInst(back_jump, jmp);
     prog_.blocks[back_jump].endsWithJump = true;
     prog_.blocks[back_jump].takenTarget = entry_stub;
 

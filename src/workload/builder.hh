@@ -75,6 +75,7 @@ class ProgramBuilder
 
   private:
     std::uint32_t newBlock();
+    void appendInst(std::uint32_t block_idx, const StaticInst &si);
     std::uint32_t emitSeq(std::vector<Seg> &segs, std::uint32_t exit_to);
     std::uint32_t emitSeg(Seg &seg, std::uint32_t exit_to);
     void fillBody(std::uint32_t block_idx, unsigned n_instrs);

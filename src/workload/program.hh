@@ -14,7 +14,7 @@
 #define LBP_WORKLOAD_PROGRAM_HH
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,13 +42,16 @@ struct StaticInst
  * A basic block: straight-line instructions, optionally terminated by a
  * conditional branch (branchId >= 0) or an unconditional jump.
  *
- * When terminated by a conditional branch, the branch is the last element
- * of body. Successors: takenTarget on taken, fallThrough otherwise. A
- * block with no terminator falls through unconditionally.
+ * The body is the slice Program::insts[first, first + count); blocks
+ * own consecutive slices in block order. When terminated by a
+ * conditional branch, the branch is the last instruction of the body.
+ * Successors: takenTarget on taken, fallThrough otherwise. A block with
+ * no terminator falls through unconditionally.
  */
 struct BasicBlock
 {
-    std::vector<StaticInst> body;
+    std::uint32_t first = 0;  ///< index of the body's first instruction
+    std::uint32_t count = 0;  ///< body length in instructions
     int branchId = -1;
     bool endsWithJump = false;
     std::uint32_t takenTarget = 0;
@@ -96,6 +99,8 @@ class Program
     std::string category;
 
     std::vector<BasicBlock> blocks;
+    /** Every block's body, in block order (see BasicBlock). */
+    std::vector<StaticInst> insts;
     std::vector<StaticBranch> branches;
     std::vector<MemStream> streams;
     unsigned totalStateWords = 0;
@@ -109,15 +114,24 @@ class Program
     /** Count behaviour kinds for reporting. */
     BranchCensus census() const;
 
+    /** The body of block @p block. */
+    std::span<const StaticInst>
+    body(std::uint32_t block) const
+    {
+        const BasicBlock &bb = blocks[block];
+        return {insts.data() + bb.first, bb.count};
+    }
+
     /**
      * Structural validation: every successor index in range, every block
-     * non-empty or pure-fallthrough, branch back-pointers consistent,
-     * state offsets contiguous. Panics on violation (builder bug).
+     * non-empty, bodies contiguous in block order, branch back-pointers
+     * consistent, state offsets contiguous. Panics on violation (builder
+     * bug).
      */
     void validate() const;
 
     /** Total static instruction count across blocks. */
-    std::size_t staticInstCount() const;
+    std::size_t staticInstCount() const { return insts.size(); }
 };
 
 /**
@@ -143,7 +157,7 @@ inline void
 cfgAdvance(const Program &prog, CfgCursor &cur, bool taken)
 {
     const BasicBlock &bb = prog.blocks[cur.block];
-    if (cur.slot + 1 < bb.body.size()) {
+    if (cur.slot + 1 < bb.count) {
         ++cur.slot;
         return;
     }
@@ -161,7 +175,7 @@ cfgAdvance(const Program &prog, CfgCursor &cur, bool taken)
 inline const StaticInst &
 cfgInst(const Program &prog, const CfgCursor &cur)
 {
-    return prog.blocks[cur.block].body[cur.slot];
+    return prog.insts[prog.blocks[cur.block].first + cur.slot];
 }
 
 /** True when the cursor points at the block's terminating instruction. */
@@ -170,7 +184,7 @@ cfgAtTerminator(const Program &prog, const CfgCursor &cur)
 {
     const BasicBlock &bb = prog.blocks[cur.block];
     return (bb.branchId >= 0 || bb.endsWithJump) &&
-           cur.slot + 1 == bb.body.size();
+           cur.slot + 1 == bb.count;
 }
 
 } // namespace lbp

@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/thread_pool.hh"
 #include "workload/builder.hh"
 
 namespace lbp {
@@ -427,28 +428,30 @@ buildWorkload(const CategoryProfile &profile, unsigned index,
 }
 
 std::vector<Program>
-buildSuite(const SuiteOptions &opts)
+buildSuite(const SuiteOptions &opts, unsigned jobs)
 {
     struct Slot
     {
         const CategoryProfile *profile;
         unsigned index;
     };
-    std::vector<Slot> slots;
-    for (const auto &prof : categoryProfiles())
-        for (unsigned i = 0; i < prof.count; ++i)
-            slots.push_back({&prof, i});
+    const auto &profiles = categoryProfiles();
+    unsigned total = 0;
+    for (const auto &prof : profiles)
+        total += prof.count;
 
-    std::vector<Program> suite;
-    if (opts.maxWorkloads > 0 && opts.maxWorkloads < slots.size()) {
+    // Each category's first quota[c] workloads, in profile order.
+    std::vector<unsigned> quota;
+    for (const auto &prof : profiles)
+        quota.push_back(prof.count);
+    if (opts.maxWorkloads > 0 && opts.maxWorkloads < total) {
         // Proportional per-category allocation with at least one
         // workload from every category, so small categories (HPC has
         // only 8 of 202) stay represented in subsampled runs.
-        const auto &profiles = categoryProfiles();
         const unsigned cap =
             std::max<unsigned>(opts.maxWorkloads,
                                static_cast<unsigned>(profiles.size()));
-        std::vector<unsigned> quota(profiles.size(), 1);
+        quota.assign(profiles.size(), 1u);
         unsigned used = static_cast<unsigned>(profiles.size());
         while (used < cap) {
             // Give the next slot to the category with the largest
@@ -458,7 +461,7 @@ buildSuite(const SuiteOptions &opts)
             for (std::size_t c = 0; c < profiles.size(); ++c) {
                 const double share =
                     static_cast<double>(profiles[c].count) /
-                    static_cast<double>(slots.size()) * cap;
+                    static_cast<double>(total) * cap;
                 const double deficit = share - quota[c];
                 if (deficit > best_deficit &&
                     quota[c] < profiles[c].count) {
@@ -469,15 +472,28 @@ buildSuite(const SuiteOptions &opts)
             ++quota[best];
             ++used;
         }
-        for (std::size_t c = 0; c < profiles.size(); ++c)
-            for (unsigned i = 0; i < quota[c]; ++i)
-                suite.push_back(
-                    buildWorkload(profiles[c], i, opts.seed));
+    }
+    std::vector<Slot> slots;
+    for (std::size_t c = 0; c < profiles.size(); ++c)
+        for (unsigned i = 0; i < quota[c]; ++i)
+            slots.push_back({&profiles[c], i});
+
+    // buildWorkload is a pure function of (profile, index, seed) and
+    // each slot writes only its own element, so the suite is identical
+    // at any worker count.
+    std::vector<Program> suite(slots.size());
+    const auto build = [&](std::size_t i) {
+        suite[i] = buildWorkload(*slots[i].profile, slots[i].index,
+                                 opts.seed);
+    };
+    const std::size_t workers =
+        std::min<std::size_t>(resolveJobs(jobs), slots.size());
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            build(i);
     } else {
-        suite.reserve(slots.size());
-        for (const auto &slot : slots)
-            suite.push_back(
-                buildWorkload(*slot.profile, slot.index, opts.seed));
+        ThreadPool pool(static_cast<unsigned>(workers));
+        pool.parallelFor(slots.size(), build);
     }
     return suite;
 }

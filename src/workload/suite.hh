@@ -74,8 +74,13 @@ struct SuiteOptions
 Program buildWorkload(const CategoryProfile &profile, unsigned index,
                       std::uint64_t suite_seed);
 
-/** Build the full (or capped) suite. */
-std::vector<Program> buildSuite(const SuiteOptions &opts = {});
+/**
+ * Build the full (or capped) suite, in category order. The workloads
+ * are built on min(resolveJobs(@p jobs), workloads) pool workers (1
+ * builds inline); the result is identical at any worker count.
+ */
+std::vector<Program> buildSuite(const SuiteOptions &opts = {},
+                                unsigned jobs = 0);
 
 } // namespace lbp
 

@@ -87,16 +87,79 @@ TEST(Determinism, WorkloadGenerationIsSeedStable)
     EXPECT_EQ(a.name, b.name);
     ASSERT_EQ(a.blocks.size(), b.blocks.size());
     ASSERT_EQ(a.branches.size(), b.branches.size());
-    for (std::size_t i = 0; i < a.blocks.size(); ++i) {
-        ASSERT_EQ(a.blocks[i].body.size(), b.blocks[i].body.size());
+    for (std::uint32_t i = 0; i < a.blocks.size(); ++i) {
+        ASSERT_EQ(a.body(i).size(), b.body(i).size());
         EXPECT_EQ(a.blocks[i].takenTarget, b.blocks[i].takenTarget);
         EXPECT_EQ(a.blocks[i].fallThrough, b.blocks[i].fallThrough);
-        for (std::size_t j = 0; j < a.blocks[i].body.size(); ++j)
-            ASSERT_EQ(a.blocks[i].body[j].pc, b.blocks[i].body[j].pc)
+        for (std::size_t j = 0; j < a.body(i).size(); ++j)
+            ASSERT_EQ(a.body(i)[j].pc, b.body(i)[j].pc)
                 << "block " << i << " inst " << j;
     }
     for (std::size_t i = 0; i < a.branches.size(); ++i)
         EXPECT_EQ(a.branches[i].pc, b.branches[i].pc);
+}
+
+TEST(Determinism, SuiteBuildIsWorkerCountIndependent)
+{
+    // The parallel suite build must be an observational no-op: each
+    // workload is a pure function of (profile, index, seed) written to
+    // its own slot, so 4 workers build exactly what 1 does.
+    for (const unsigned cap : {0u, 8u}) {
+        SuiteOptions opts;
+        opts.maxWorkloads = cap;
+        const std::vector<Program> serial = buildSuite(opts, 1);
+        const std::vector<Program> parallel = buildSuite(opts, 4);
+        ASSERT_EQ(serial.size(), cap ? cap : 202u);
+        ASSERT_EQ(serial.size(), parallel.size());
+        for (std::size_t w = 0; w < serial.size(); ++w) {
+            const Program &a = serial[w];
+            const Program &b = parallel[w];
+            SCOPED_TRACE(a.name);
+            EXPECT_EQ(a.name, b.name);
+            EXPECT_EQ(a.category, b.category);
+            EXPECT_EQ(a.totalStateWords, b.totalStateWords);
+            ASSERT_EQ(a.streams.size(), b.streams.size());
+            for (std::size_t i = 0; i < a.streams.size(); ++i) {
+                EXPECT_EQ(a.streams[i].base, b.streams[i].base);
+                EXPECT_EQ(a.streams[i].stride, b.streams[i].stride);
+                EXPECT_EQ(a.streams[i].footprint, b.streams[i].footprint);
+                EXPECT_EQ(a.streams[i].randomized, b.streams[i].randomized);
+                EXPECT_EQ(a.streams[i].seed, b.streams[i].seed);
+            }
+            ASSERT_EQ(a.blocks.size(), b.blocks.size());
+            for (std::size_t i = 0; i < a.blocks.size(); ++i) {
+                const BasicBlock &x = a.blocks[i];
+                const BasicBlock &y = b.blocks[i];
+                ASSERT_EQ(x.first, y.first) << "block " << i;
+                ASSERT_EQ(x.count, y.count) << "block " << i;
+                ASSERT_EQ(x.branchId, y.branchId) << "block " << i;
+                ASSERT_EQ(x.endsWithJump, y.endsWithJump) << "block " << i;
+                ASSERT_EQ(x.takenTarget, y.takenTarget) << "block " << i;
+                ASSERT_EQ(x.fallThrough, y.fallThrough) << "block " << i;
+            }
+            ASSERT_EQ(a.insts.size(), b.insts.size());
+            for (std::size_t i = 0; i < a.insts.size(); ++i) {
+                const StaticInst &x = a.insts[i];
+                const StaticInst &y = b.insts[i];
+                ASSERT_EQ(x.pc, y.pc) << "inst " << i;
+                ASSERT_EQ(x.cls, y.cls) << "inst " << i;
+                ASSERT_EQ(x.dep1, y.dep1) << "inst " << i;
+                ASSERT_EQ(x.dep2, y.dep2) << "inst " << i;
+                ASSERT_EQ(x.stream, y.stream) << "inst " << i;
+            }
+            ASSERT_EQ(a.branches.size(), b.branches.size());
+            for (std::size_t i = 0; i < a.branches.size(); ++i) {
+                const StaticBranch &x = a.branches[i];
+                const StaticBranch &y = b.branches[i];
+                ASSERT_EQ(x.pc, y.pc) << "branch " << i;
+                ASSERT_EQ(x.blockIdx, y.blockIdx) << "branch " << i;
+                ASSERT_EQ(x.stateOffset, y.stateOffset) << "branch " << i;
+                ASSERT_EQ(x.behavior->describe(), y.behavior->describe())
+                    << "branch " << i;
+            }
+        }
+        EXPECT_EQ(suiteKey(serial), suiteKey(parallel));
+    }
 }
 
 TEST(Determinism, FreshSuiteRunsMatch)

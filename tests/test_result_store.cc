@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hh"
 #include "sim/result_store.hh"
 #include "sim/suite_cache.hh"
 #include "sim/sweep.hh"
@@ -210,6 +211,46 @@ TEST(ResultStore, SaveLoadHitMissAndStaleCounters)
     EXPECT_EQ(store.stats().stale, 1u);
     EXPECT_EQ(store.stats().misses, 2u);
     EXPECT_FALSE(fs::exists(entry)) << "stale entry not removed";
+}
+
+// Two writers of one entry (two lbpsweep --store runs, or one beside
+// lbpserved) used to share the fixed temp name <entry>.tmp: one
+// truncated the other's file, and the loser's rename failed.
+TEST(ResultStore, ConcurrentWritersOfOneEntryAllInstall)
+{
+    const fs::path dir = freshDir("lbp-store-race");
+    const std::vector<Program> suite = smallSuite(1);
+    const SimConfig cfg = schemeConfig(RepairKind::ForwardWalk);
+    const SuiteResult res = runSuite(suite, cfg, 1);
+    const std::string sk = suiteKey(suite);
+    const std::string ck = configKey(cfg);
+
+    constexpr unsigned kSaves = 1500;
+    ResultStore a(dir.string()), b(dir.string());
+    ResultStore *stores[] = {&a, &b};
+    unsigned failed[2] = {0, 0};
+    ThreadPool pool(2);
+    pool.parallelFor(2, [&](std::size_t w) {
+        for (unsigned i = 0; i < kSaves; ++i)
+            failed[w] += stores[w]->save(sk, ck, res) ? 0 : 1;
+    });
+    EXPECT_EQ(failed[0], 0u);
+    EXPECT_EQ(failed[1], 0u);
+    EXPECT_EQ(a.stats().writes, kSaves);
+    EXPECT_EQ(b.stats().writes, kSaves);
+
+    ResultStore reader(dir.string());
+    const auto hit = reader.load(sk, ck);
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(reader.stats().hits, 1u);
+    ASSERT_EQ(hit->runs.size(), res.runs.size());
+    expectRunIdentical(res.runs[0], hit->runs[0]);
+
+    std::vector<std::string> files;
+    for (const auto &e : fs::directory_iterator(dir))
+        files.push_back(e.path().filename().string());
+    ASSERT_EQ(files.size(), 1u) << "temp files left behind";
+    EXPECT_EQ(files[0], ResultStore::entryFileName(buildFingerprint(), sk, ck));
 }
 
 namespace {

@@ -683,3 +683,53 @@ TEST(Serve, MalformedCountsAreRejected)
     EXPECT_EQ(st.requestsRejected, 9u);
     EXPECT_EQ(st.sweepsExecuted, 0u);
 }
+
+// A config modifier outside its range used to pass the daemon's spec
+// parser and abort the whole process on a scheme-constructor assertion,
+// losing every client's queued work. It is a bad_spec now, and the
+// daemon goes on serving.
+TEST(Serve, OutOfRangeModifierIsRejectedAndDaemonServesOn)
+{
+    SuiteCache cache;
+    ServeOptions sopts;
+    sopts.port = 0;
+    sopts.jobs = 1;
+    sopts.cache = &cache;
+    Server server(sopts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    ThreadPool pool(1);
+    int rc = -1;
+    pool.submit([&] { rc = server.run(); });
+
+    TcpConn conn = tcpConnect("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(conn.valid()) << err;
+    shakeHands(conn);
+    for (const char *mods : {"limited-pc limited-m=0",
+                             "forward-walk ports=1-4-2"}) {
+        ASSERT_TRUE(conn.sendAll(
+            std::string("{\"type\":\"submit\",\"id\":\"bad\",") +
+            "\"suite\":1,\"warmup\":500,\"instr\":1000," +
+            "\"spec\":\"config " + mods + "\"}\n"));
+        const JsonValue msg = readFrame(conn);
+        ASSERT_EQ(frameType(msg), "rejected") << mods;
+        const JsonValue *code = msg.member("code");
+        ASSERT_TRUE(code);
+        EXPECT_EQ(code->str(), "bad_spec") << mods;
+    }
+    ASSERT_TRUE(conn.sendAll(
+        "{\"type\":\"submit\",\"id\":\"good\",\"suite\":1,"
+        "\"warmup\":500,\"instr\":1000,"
+        "\"spec\":\"config limited-pc limited-m=4\"}\n"));
+    const JsonValue result = awaitResult(conn, "good");
+    ASSERT_EQ(frameType(result), "result");
+    conn.closeConn();
+
+    server.requestDrain();
+    pool.wait();
+    EXPECT_EQ(rc, 0);
+    const ServeStats st = server.stats();
+    EXPECT_EQ(st.requestsRejected, 2u);
+    EXPECT_EQ(st.sweepsExecuted, 1u);
+}

@@ -488,6 +488,90 @@ TEST(SweepSpec, MalformedCountsAreSpecErrors)
     EXPECT_EQ(spec.suite, 3u);
 }
 
+TEST(SweepSpec, OutOfRangeModifiersAreSpecErrors)
+{
+    // Before the modifiers were parsed strictly, each of these reached
+    // a scheme-constructor assertion, ran as a different value, or
+    // sized a ring past the cap.
+    for (const char *mods : {
+             "limited-pc limited-m=0",
+             "limited-pc limited-m=17",
+             "limited-pc limited-m=4x",
+             "limited-pc limited-m=",
+             "limited-pc limited-m=-1",
+             "limited-pc limited-m=+4",
+             "forward-walk ports=1-4-2",
+             "forward-walk ports=0-4-2",
+             "forward-walk ports=4097-4-2",
+             "forward-walk ports=32-0-2",
+             "forward-walk ports=32-4-0",
+             "forward-walk ports=32-65-2",
+             "forward-walk ports=32-4-65",
+             "forward-walk ports=32-4",
+             "forward-walk ports=32-4-2-1",
+             "forward-walk ports=32-4-2x",
+             "forward-walk ports=32--4-2",
+             "forward-walk ports=-32-4-2",
+             "forward-walk ports=32-+4-2",
+             "forward-walk ports=4294967328-4-2",
+             "snapshot ports=99999999999-1-1",
+         }) {
+        const std::string text = std::string("config ") + mods;
+        SweepSpec spec;
+        std::string err;
+        EXPECT_FALSE(parseSweepSpecText(text, spec, err)) << text;
+        EXPECT_EQ(err.rfind("spec: ", 0), 0u) << text << ": " << err;
+    }
+
+    // The bounds themselves are accepted, and valid values land as
+    // before.
+    SweepSpec spec;
+    std::string err;
+    ASSERT_TRUE(parseSweepSpecText(
+                    "config limited-pc limited-m=1\n"
+                    "config limited-pc limited-m=16 ports=32-4-4\n"
+                    "config forward-walk ports=2-1-1\n"
+                    "config snapshot ports=4096-64-64\n",
+                    spec, err))
+        << err;
+    ASSERT_EQ(spec.configs.size(), 4u);
+    EXPECT_EQ(spec.configs[0].cfg.repair.limitedM, 1u);
+    EXPECT_EQ(spec.configs[1].cfg.repair.limitedM,
+              RepairConfig::maxLimitedM);
+    EXPECT_EQ(spec.configs[1].cfg.repair.ports.entries, 32u);
+    EXPECT_EQ(spec.configs[1].cfg.repair.ports.readPorts, 4u);
+    EXPECT_EQ(spec.configs[1].cfg.repair.ports.bhtWritePorts, 4u);
+    EXPECT_EQ(spec.configs[2].cfg.repair.ports.entries,
+              RepairPorts::minEntries);
+    EXPECT_EQ(spec.configs[3].cfg.repair.ports.entries,
+              RepairPorts::maxEntries);
+    EXPECT_EQ(spec.configs[3].cfg.repair.ports.readPorts,
+              RepairPorts::maxPorts);
+    EXPECT_EQ(spec.configs[3].cfg.repair.ports.bhtWritePorts,
+              RepairPorts::maxPorts);
+}
+
+TEST(SweepSpec, PortAndLimitedMParsersLeaveOutputOnError)
+{
+    RepairPorts ports{32, 4, 2};
+    EXPECT_FALSE(parseRepairPorts("1-1-1", ports));
+    EXPECT_FALSE(parseRepairPorts("", ports));
+    EXPECT_EQ(ports.entries, 32u);
+    EXPECT_EQ(ports.readPorts, 4u);
+    EXPECT_EQ(ports.bhtWritePorts, 2u);
+    ASSERT_TRUE(parseRepairPorts("64-8-4", ports));
+    EXPECT_EQ(ports.entries, 64u);
+    EXPECT_EQ(ports.readPorts, 8u);
+    EXPECT_EQ(ports.bhtWritePorts, 4u);
+
+    unsigned m = 4;
+    EXPECT_FALSE(parseLimitedM("0", m));
+    EXPECT_FALSE(parseLimitedM("2.5", m));
+    EXPECT_EQ(m, 4u);
+    ASSERT_TRUE(parseLimitedM("7", m));
+    EXPECT_EQ(m, 7u);
+}
+
 // Figure-8 port analysis must reconcile exactly against the raw
 // forensics records: every row aggregates every squash, single-cycle
 // counts match a direct recount, and more ports never hurt.

@@ -167,8 +167,8 @@ TEST(Program, AddressesAreUniqueAndOrdered)
         buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed);
     std::set<Addr> pcs;
     Addr last = 0;
-    for (const auto &bb : p.blocks) {
-        for (const auto &si : bb.body) {
+    for (std::uint32_t b = 0; b < p.blocks.size(); ++b) {
+        for (const auto &si : p.body(b)) {
             EXPECT_TRUE(pcs.insert(si.pc).second)
                 << "duplicate pc " << si.pc;
             EXPECT_GT(si.pc, last);
@@ -203,8 +203,7 @@ TEST(Program, CfgAdvanceFollowsEdges)
     // Find the diamond's branch block and check both successors.
     const std::uint32_t br_block = p.branches[0].blockIdx;
     CfgCursor cur{br_block,
-                  static_cast<std::uint32_t>(
-                      p.blocks[br_block].body.size() - 1)};
+                  static_cast<std::uint32_t>(p.body(br_block).size() - 1)};
     ASSERT_TRUE(cfgAtTerminator(p, cur));
     CfgCursor taken = cur;
     cfgAdvance(p, taken, true);
@@ -363,4 +362,96 @@ TEST(Suite, DitherThrashesBht)
     EXPECT_EQ(p.name, "eembc-dither");
     EXPECT_GT(p.numCondBranches(), 128u)
         << "the thrash workload must exceed the 128-entry BHT";
+}
+
+namespace {
+
+/** FNV-1a 64 over a stream of integers and strings. */
+class StructureDigest
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    add(const std::string &s)
+    {
+        add(s.size());
+        for (const char c : s) {
+            h_ ^= static_cast<unsigned char>(c);
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/** Every structural field of @p p: what a workload is, not how it is
+ *  stored. */
+void
+addProgram(StructureDigest &d, const Program &p)
+{
+    d.add(p.name);
+    d.add(p.category);
+    d.add(p.streams.size());
+    for (const MemStream &ms : p.streams) {
+        d.add(ms.base);
+        d.add(ms.stride);
+        d.add(ms.footprint);
+        d.add(ms.randomized);
+        d.add(ms.seed);
+    }
+    d.add(p.totalStateWords);
+    d.add(p.blocks.size());
+    for (std::uint32_t b = 0; b < p.blocks.size(); ++b) {
+        const BasicBlock &bb = p.blocks[b];
+        d.add(p.body(b).size());
+        d.add(bb.takenTarget);
+        d.add(bb.fallThrough);
+        d.add(static_cast<std::uint64_t>(bb.branchId));
+        d.add(bb.endsWithJump);
+        for (const StaticInst &si : p.body(b)) {
+            d.add(si.pc);
+            d.add(static_cast<std::uint64_t>(si.cls));
+            d.add(si.dep1);
+            d.add(si.dep2);
+            d.add(si.stream);
+        }
+    }
+    d.add(p.branches.size());
+    for (const StaticBranch &br : p.branches) {
+        d.add(br.pc);
+        d.add(br.blockIdx);
+        d.add(br.stateOffset);
+        d.add(br.behavior->describe());
+    }
+}
+
+} // namespace
+
+TEST(Suite, StructureDigestIsPinned)
+{
+    // suiteKey counts only shapes and the golden-stats fixture runs 7
+    // programs, so this pins every instruction of all 202. The constant
+    // was computed with the per-block instruction vectors that preceded
+    // the flat Program::insts layout: the layout change moved no field.
+    const std::vector<Program> suite = buildSuite(SuiteOptions{});
+    ASSERT_EQ(suite.size(), 202u);
+    StructureDigest d;
+    std::size_t insts = 0;
+    for (const Program &p : suite) {
+        addProgram(d, p);
+        insts += p.staticInstCount();
+    }
+    EXPECT_EQ(insts, 266950u);
+    EXPECT_EQ(d.value(), 0x0797e4aee0098d15ull);
 }

@@ -37,7 +37,7 @@ struct Options
     std::uint16_t port = 0;      ///< 0 = kernel-assigned
     std::string portFile;        ///< write the bound port here
     std::string storeDir;        ///< persistent store (REPRO_RESULT_STORE)
-    unsigned jobs = 0;           ///< per-sweep workers
+    unsigned jobs = 0;           ///< per-sweep and suite-build workers
     std::size_t maxQueue = 8;
     std::uint64_t maxCells = 131072;
     double queueTimeout = 600.0;
@@ -67,8 +67,8 @@ constexpr OptSpec kOptions[] = {
     {"--port-file", "<path>", "write the bound port (for port 0)"},
     {"--store", "<dir>", "persistent result store directory (default "
      "$REPRO_RESULT_STORE; empty = memory only)"},
-    {"--jobs", "<N>", "workers per sweep (default REPRO_JOBS, else "
-     "hardware concurrency)"},
+    {"--jobs", "<N>", "workers per sweep and suite build (default "
+     "REPRO_JOBS, else hardware concurrency)"},
     {"--max-queue", "<N>", "max requests queued or running "
      "(default 8)"},
     {"--max-cells", "<N>", "max cells queued or running "

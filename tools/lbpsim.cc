@@ -30,6 +30,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/runner.hh"
+#include "sim/sweep_spec.hh"
 #include "workload/suite.hh"
 
 using namespace lbp;
@@ -100,11 +101,12 @@ constexpr OptSpec kOptions[] = {
      "backward-walk | snapshot | forward-walk |\n"
      "limited-pc | multi-stage | future-file"},
     {Opt::Ports, "--ports", nullptr, "<M-N-P>",
-     "OBQ/SQ entries, read ports, BHT write ports"},
+     "OBQ/SQ entries (2-4096), read ports and\n"
+     "BHT write ports (1-64)"},
     {Opt::Coalesce, "--coalesce", nullptr, nullptr,
      "enable OBQ entry merging"},
     {Opt::LimitedM, "--limited-m", nullptr, "<M>",
-     "PCs repaired by limited-pc"},
+     "PCs repaired by limited-pc (1-16)"},
     {Opt::Loop, "--loop", nullptr, "<64|128|256>",
      "CBPw-Loop BHT/PT entries"},
     {Opt::Tage, "--tage", nullptr, "<7|9|57>",
@@ -116,8 +118,8 @@ constexpr OptSpec kOptions[] = {
     {Opt::Csv, "--csv", nullptr, "<path>",
      "write per-workload results as CSV"},
     {Opt::Jobs, "--jobs", nullptr, "<N>",
-     "worker threads for suite runs (default:\n"
-     "REPRO_JOBS, else hardware concurrency)"},
+     "worker threads for suite builds and runs\n"
+     "(default: REPRO_JOBS, else hardware concurrency)"},
     {Opt::ThroughputJson, "--throughput-json", nullptr, "<path>",
      "dump throughput telemetry as JSON"},
     {Opt::TraceOut, "--trace-out", nullptr, "<path>",
@@ -241,20 +243,22 @@ parseOptions(int argc, char **argv, Options &opt)
           case Opt::Scheme:
             opt.scheme = v;
             break;
-          case Opt::Ports: {
-            unsigned m = 0, n = 0, p = 0;
-            if (std::sscanf(v, "%u-%u-%u", &m, &n, &p) != 3) {
-                std::fprintf(stderr, "--ports wants M-N-P\n");
+          case Opt::Ports:
+            if (!parseRepairPorts(v, opt.ports)) {
+                std::fprintf(stderr, "--ports wants %s\n",
+                             repairPortsRange().c_str());
                 return false;
             }
-            opt.ports = {m, n, p};
             break;
-          }
           case Opt::Coalesce:
             opt.coalesce = true;
             break;
           case Opt::LimitedM:
-            opt.limitedM = static_cast<unsigned>(std::atoi(v));
+            if (!parseLimitedM(v, opt.limitedM)) {
+                std::fprintf(stderr, "--limited-m wants %s\n",
+                             limitedMRange().c_str());
+                return false;
+            }
             break;
           case Opt::Loop:
             opt.loopEntries = static_cast<unsigned>(std::atoi(v));
@@ -558,7 +562,7 @@ main(int argc, char **argv)
 
     SuiteOptions sopts;
     sopts.maxWorkloads = opt.fullSuite ? 0 : opt.suite;
-    const auto suite = buildSuite(sopts);
+    const auto suite = buildSuite(sopts, opt.jobs);
     std::printf("running %zu workloads, scheme=%s, jobs=%u ...\n",
                 suite.size(), opt.scheme.c_str(),
                 resolveJobs(opt.jobs));

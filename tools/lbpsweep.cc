@@ -82,8 +82,8 @@ constexpr OptSpec kOptions[] = {
     {"--suite", "<N|all>", "workloads to sweep (default 8)"},
     {"--warmup", "<N>", "warm-up instruction budget (default 40000)"},
     {"--instr", "<N>", "measured instruction budget (default 60000)"},
-    {"--jobs", "<N>", "worker threads (default REPRO_JOBS, else "
-     "hardware concurrency)"},
+    {"--jobs", "<N>", "worker threads for the suite build and the "
+     "sweep (default REPRO_JOBS, else hardware concurrency)"},
     {"--store", "<dir>", "persistent result store directory (default "
      "$REPRO_RESULT_STORE; empty = no store)"},
     {"--event-log", "<path>", "append JSON-lines cell/config events"},
@@ -437,7 +437,7 @@ main(int argc, char **argv)
             die(err);
     }
     finalizeSweepSpec(spec);
-    const std::vector<Program> suite = buildSpecSuite(spec);
+    const std::vector<Program> suite = buildSpecSuite(spec, opt.jobs);
     const std::vector<SweepConfig> &configs = spec.configs;
 
     if (!opt.server.empty())
