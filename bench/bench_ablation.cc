@@ -129,5 +129,5 @@ main()
                     "re-steer; past the alloc-queue entry the design "
                     "stops paying for itself.\n");
     }
-    return reportThroughput("bench_ablation");
+    return reportThroughput(ctx);
 }

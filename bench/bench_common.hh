@@ -10,7 +10,9 @@
  * matter how many tables ask for them, and repeated sweep
  * configurations cost one simulation each. Simulations fan out across
  * a ThreadPool (REPRO_JOBS workers, default = hardware concurrency)
- * with bit-identical results to a serial run.
+ * with bit-identical results to a serial run. Every run goes through
+ * Context, which keeps the throughput record of each suite it ran
+ * (memo hits included) for the table reportThroughput() prints.
  */
 
 #ifndef LBP_BENCH_BENCH_COMMON_HH
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/telemetry.hh"
 #include "common/thread_pool.hh"
 #include "sim/runner.hh"
 #include "sim/suite_cache.hh"
@@ -35,6 +38,10 @@ struct Context
     SimConfig base;  ///< TAGE-only baseline configuration
 
     SuiteResult baseline;  ///< TAGE-only results (computed in make())
+
+    /** Throughput record of every suite run() and runUncached() ran,
+     *  in order; a memo hit is a one-word row. */
+    mutable std::vector<SuiteTelemetry> ran;
 
     static Context
     make(const char *title)
@@ -82,7 +89,33 @@ struct Context
     const SuiteResult &
     run(const SimConfig &cfg) const
     {
-        return runSuiteCached(suite, cfg, env.jobs);
+        SuiteCache &cache = SuiteCache::process();
+        const std::uint64_t simulated = cache.stats().misses;
+        const SuiteResult &res = cache.run(suite, cfg, env.jobs);
+        if (cache.stats().misses != simulated) {
+            ran.push_back(res.telemetry);
+        } else {
+            SuiteTelemetry hit;
+            hit.label = configLabel(cfg);
+            hit.workloads = suite.size();
+            hit.jobs = res.telemetry.jobs;
+            hit.memoHit = true;
+            ran.push_back(std::move(hit));
+        }
+        return res;
+    }
+
+    /**
+     * Simulate the suite under @p cfg outside the cache: for passes
+     * whose results carry observability records, which the cache key
+     * (and so a memoized result) leaves out.
+     */
+    SuiteResult
+    runUncached(const SimConfig &cfg) const
+    {
+        SuiteResult res = runSuite(suite, cfg, env.jobs);
+        ran.push_back(res.telemetry);
+        return res;
     }
 
     /**
@@ -105,23 +138,19 @@ retainedPct(double scheme_gain, double perfect_gain)
 }
 
 /**
- * Print the throughput telemetry accumulated by every runSuite() call
- * and dump it as machine-readable JSON (REPRO_THROUGHPUT_JSON, default
- * BENCH_throughput.json). Returns 0 so benches can end with
- * `return reportThroughput("bench_...");`.
+ * Print the throughput table of every suite @p ctx ran and the suite
+ * cache's simulated/memoized counts. Returns 0 so benches can end with
+ * `return reportThroughput(ctx);`.
  */
 inline int
-reportThroughput(const char *bench)
+reportThroughput(const Context &ctx)
 {
     std::printf("\n");
-    TelemetryRegistry::process().printSummary(stdout);
+    printThroughputSummary(stdout, ctx.ran);
     const SuiteCache::CacheStats cs = SuiteCache::process().stats();
     std::printf("  suite cache: %llu simulated, %llu memoized\n",
                 static_cast<unsigned long long>(cs.misses),
                 static_cast<unsigned long long>(cs.hits));
-    const std::string path = throughputJsonPath();
-    if (TelemetryRegistry::process().writeJson(path, bench))
-        std::printf("  wrote %s\n", path.c_str());
     return 0;
 }
 

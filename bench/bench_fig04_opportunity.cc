@@ -167,5 +167,5 @@ main()
     std::printf("paper: ~44%% MPKI reduction opportunity across "
                 "workloads; with no repair almost all of it is lost, "
                 "and MM/BP actually lose performance.\n");
-    return reportThroughput("bench_fig04_opportunity");
+    return reportThroughput(ctx);
 }

@@ -75,5 +75,5 @@ main()
     std::printf("paper: cloud-compression and tabletmark-email gain "
                 ">15%%; eembc-dither loses (BHT/PT thrash) and only "
                 "recovers at 256 entries.\n");
-    return reportThroughput("bench_fig07_perfect");
+    return reportThroughput(ctx);
 }

@@ -27,7 +27,7 @@ namespace {
 /**
  * The --port-analysis pass: per-squash OBQ-walk and BHT-write work
  * from the forensics channel, aggregated over candidate port counts.
- * Uses runSuite directly — observability is excluded from the suite
+ * Runs outside the suite cache — observability is excluded from the
  * cache key, so cached results carry no forensics records.
  */
 void
@@ -35,7 +35,7 @@ portAnalysisPass(const Context &ctx, const char *csv_path)
 {
     SimConfig cfg = ctx.withScheme(RepairKind::ForwardWalk);
     cfg.obs.forensics = true;
-    const SuiteResult res = runSuite(ctx.suite, cfg, ctx.env.jobs);
+    const SuiteResult res = ctx.runUncached(cfg);
 
     std::vector<const ObsRun *> obs;
     std::uint64_t records = 0;
@@ -117,5 +117,5 @@ main(int argc, char **argv)
 
     if (port_csv)
         portAnalysisPass(ctx, port_csv);
-    return reportThroughput("bench_fig08_repair_counts");
+    return reportThroughput(ctx);
 }

@@ -43,5 +43,5 @@ main()
     std::printf("paper: update-at-retire retains ~41%% of perfect "
                 "gains; no repair retains none, with MM/BP losing "
                 "performance outright.\n");
-    return reportThroughput("bench_fig09_retire_norepair");
+    return reportThroughput(ctx);
 }

@@ -51,5 +51,5 @@ main()
     std::printf("paper: with 64-64-64 both schemes retain most of the "
                 "gains; at realistic ports backward-walk holds ~50%% "
                 "while snapshot (32-8-8) drops well below 50%%.\n");
-    return reportThroughput("bench_fig10_prior");
+    return reportThroughput(ctx);
 }

@@ -53,5 +53,5 @@ main()
     std::printf("paper: FWD-32-4-2 retains 76%% of perfect gains; "
                 "coalescing adds ~3.5%%, reaching 79.5%%. Smaller OBQs "
                 "and fewer ports give correspondingly less.\n");
-    return reportThroughput("bench_fig11_forward");
+    return reportThroughput(ctx);
 }

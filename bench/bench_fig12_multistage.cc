@@ -63,5 +63,5 @@ main()
                 "(re-steer delay + 64-entry tables) but need no extra "
                 "BHT ports for repair; shared vs split PT is a minor "
                 "difference.\n");
-    return reportThroughput("bench_fig12_multistage");
+    return reportThroughput(ctx);
 }

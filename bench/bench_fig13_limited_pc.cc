@@ -49,5 +49,5 @@ main()
     std::printf("paper: 2PC retains 56%% and 4PC 61%% of perfect "
                 "gains; even 2PC beats port-limited backward walk "
                 "because the right PCs get repaired first.\n");
-    return reportThroughput("bench_fig13_limited_pc");
+    return reportThroughput(ctx);
 }

@@ -94,5 +94,5 @@ main()
     std::printf("paper: even on a 57KB TAGE, CBPw-Loop with perfect "
                 "repair improves IPC by 2.7%%, and each repair "
                 "technique keeps most of its efficiency.\n");
-    return reportThroughput("bench_fig14_sensitivity");
+    return reportThroughput(ctx);
 }

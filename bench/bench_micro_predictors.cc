@@ -8,12 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-
 #include "bpu/loop_predictor.hh"
 #include "bpu/tage.hh"
 #include "common/random.hh"
-#include "common/telemetry.hh"
 #include "core/core.hh"
 #include "workload/suite.hh"
 
@@ -126,10 +123,10 @@ BENCHMARK(BM_WorkloadGeneration);
 void
 BM_CoreStepCycle(benchmark::State &state)
 {
-    // Same fixed program as the telemetry probe below: per-iteration
-    // cost here is the stepCycle loop alone (the core persists across
-    // iterations), so data-layout changes show up undiluted by
-    // construction or suite orchestration.
+    // One fixed program: per-iteration cost here is the stepCycle loop
+    // alone (the core persists across iterations), so data-layout
+    // changes show up undiluted by construction or suite orchestration;
+    // items/s is simulated instructions per second.
     const Program prog =
         buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed);
     SimConfig cfg;
@@ -147,54 +144,6 @@ BM_CoreStepCycle(benchmark::State &state)
 }
 BENCHMARK(BM_CoreStepCycle);
 
-/**
- * Direct stepCycle-level throughput probe: one warmed core, a fixed
- * program and instruction count, timed with the telemetry stopwatch so
- * the result lands in the same registry/JSON that the suite benches
- * feed (and that tools/perf_compare.py gates in CI).
- */
-void
-coreThroughputProbe()
-{
-    constexpr std::uint64_t instrs = 2000000;
-    const Program prog =
-        buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed);
-    SimConfig cfg;
-    cfg.useLocal = true;
-    cfg.repair.kind = RepairKind::ForwardWalk;
-    OooCore core(prog, cfg);
-    core.run(100000);  // warm up before the timed window
-    Stopwatch sw;
-    core.run(instrs);
-    const double wall = sw.seconds();
-
-    SuiteTelemetry t;
-    t.label = "core-stepcycle-micro";
-    t.workloads = 1;
-    t.simInstrs = instrs;
-    t.wallSeconds = wall;
-    TelemetryRegistry::process().record(t);
-    std::printf("core stepCycle probe: %llu instrs in %.3fs = "
-                "%.2f ns/instr, %.2f Minstr/s\n",
-                static_cast<unsigned long long>(instrs), wall,
-                wall / static_cast<double>(instrs) * 1e9,
-                t.minstrPerSec());
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
-    coreThroughputProbe();
-    TelemetryRegistry::process().printSummary(stdout);
-    TelemetryRegistry::process().writeJson(throughputJsonPath(),
-                                           "bench_micro_predictors");
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -110,5 +110,5 @@ main()
     std::printf("paper (Table 3): NoRepair 0%%, Snapshot 30%%, Retire "
                 "41%%, Backward 52%%, 2PC 56%%, SplitBHT 57%%, 4PC "
                 "61%%, Fwd 77%%, Fwd+coal 79%%, Perfect 100%%\n");
-    return reportThroughput("bench_table3_summary");
+    return reportThroughput(ctx);
 }

@@ -1,10 +1,5 @@
 #include "common/telemetry.hh"
 
-#include <cstdlib>
-#include <fstream>
-
-#include "common/logging.hh"
-
 namespace lbp {
 
 double
@@ -28,144 +23,19 @@ SuiteTelemetry::avgWorkerUtilization() const
             static_cast<double>(workerBusySeconds.size()));
 }
 
-TelemetryRegistry &
-TelemetryRegistry::process()
-{
-    static TelemetryRegistry reg;
-    return reg;
-}
-
 void
-TelemetryRegistry::record(SuiteTelemetry t)
+printThroughputSummary(std::FILE *out,
+                       const std::vector<SuiteTelemetry> &records)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    records_.push_back(std::move(t));
-}
-
-std::vector<SuiteTelemetry>
-TelemetryRegistry::snapshot() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return records_;
-}
-
-void
-TelemetryRegistry::clear()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    records_.clear();
-}
-
-TelemetryRegistry::Totals
-TelemetryRegistry::totals() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    Totals t;
-    for (const SuiteTelemetry &r : records_) {
-        ++t.suites;
-        if (r.memoHit)
-            ++t.memoHits;
-        t.simInstrs += r.simInstrs;
-        t.wallSeconds += r.wallSeconds;
-    }
-    return t;
-}
-
-namespace {
-
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out += c;
-        }
-    }
-    out += '"';
-}
-
-std::string
-fmtJsonDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-}
-
-} // namespace
-
-std::string
-TelemetryRegistry::toJson(const std::string &bench) const
-{
-    const std::vector<SuiteTelemetry> records = snapshot();
-    const Totals t = totals();
-
-    std::string out = "{\n  \"bench\": ";
-    appendJsonString(out, bench);
-    out += ",\n  \"suites_run\": " + std::to_string(t.suites);
-    out += ",\n  \"memo_hits\": " + std::to_string(t.memoHits);
-    out += ",\n  \"total_sim_instrs\": " + std::to_string(t.simInstrs);
-    out += ",\n  \"total_wall_s\": " + fmtJsonDouble(t.wallSeconds);
-    out += ",\n  \"minstr_per_s\": " +
-           fmtJsonDouble(t.wallSeconds > 0.0
-                             ? static_cast<double>(t.simInstrs) /
-                                   t.wallSeconds / 1e6
-                             : 0.0);
-    out += ",\n  \"suites\": [";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const SuiteTelemetry &r = records[i];
-        out += i ? ",\n    {" : "\n    {";
-        out += "\"label\": ";
-        appendJsonString(out, r.label);
-        out += ", \"workloads\": " + std::to_string(r.workloads);
-        out += ", \"sim_instrs\": " + std::to_string(r.simInstrs);
-        out += ", \"wall_s\": " + fmtJsonDouble(r.wallSeconds);
-        out += ", \"minstr_per_s\": " + fmtJsonDouble(r.minstrPerSec());
-        out += ", \"jobs\": " + std::to_string(r.jobs);
-        out += std::string(", \"memo_hit\": ") +
-               (r.memoHit ? "true" : "false");
-        out += ", \"worker_util\": [";
-        for (std::size_t w = 0; w < r.workerBusySeconds.size(); ++w) {
-            if (w)
-                out += ", ";
-            out += fmtJsonDouble(r.wallSeconds > 0.0
-                                     ? r.workerBusySeconds[w] /
-                                           r.wallSeconds
-                                     : 0.0);
-        }
-        out += "]}";
-    }
-    out += records.empty() ? "]\n}\n" : "\n  ]\n}\n";
-    return out;
-}
-
-bool
-TelemetryRegistry::writeJson(const std::string &path,
-                             const std::string &bench) const
-{
-    std::ofstream out(path);
-    if (!out) {
-        warnImpl(("cannot write throughput JSON to " + path).c_str());
-        return false;
-    }
-    out << toJson(bench);
-    return static_cast<bool>(out);
-}
-
-void
-TelemetryRegistry::printSummary(std::FILE *out) const
-{
-    const std::vector<SuiteTelemetry> records = snapshot();
-    const Totals t = totals();
+    std::size_t memoHits = 0;
+    std::uint64_t simInstrs = 0;
+    double wallSeconds = 0.0;
     std::fprintf(out, "--- throughput telemetry ---\n");
     for (const SuiteTelemetry &r : records) {
+        simInstrs += r.simInstrs;
+        wallSeconds += r.wallSeconds;
         if (r.memoHit) {
+            ++memoHits;
             std::fprintf(out, "  %-34s memo hit\n", r.label.c_str());
             continue;
         }
@@ -179,20 +49,11 @@ TelemetryRegistry::printSummary(std::FILE *out) const
     std::fprintf(out,
                  "  total: %zu suites (%zu memoized), %.1f Minstr in "
                  "%.3fs wall = %.2f Minstr/s\n",
-                 t.suites, t.memoHits,
-                 static_cast<double>(t.simInstrs) / 1e6, t.wallSeconds,
-                 t.wallSeconds > 0.0
-                     ? static_cast<double>(t.simInstrs) /
-                           t.wallSeconds / 1e6
+                 records.size(), memoHits,
+                 static_cast<double>(simInstrs) / 1e6, wallSeconds,
+                 wallSeconds > 0.0
+                     ? static_cast<double>(simInstrs) / wallSeconds / 1e6
                      : 0.0);
-}
-
-std::string
-throughputJsonPath()
-{
-    if (const char *s = std::getenv("REPRO_THROUGHPUT_JSON"))
-        return s;
-    return "BENCH_throughput.json";
 }
 
 } // namespace lbp

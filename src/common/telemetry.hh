@@ -1,8 +1,8 @@
 /**
  * @file
  * Throughput telemetry for the experiment harness: a wall-clock
- * stopwatch, per-suite throughput records, and a process-wide registry
- * the benches and lbpsim dump as a machine-readable JSON file.
+ * stopwatch, per-suite throughput records, and the table the benches
+ * print from the records of the suites they ran.
  *
  * This file (and telemetry.cc) is the only place in src/ allowed to
  * touch wall-clock time — tools/lbp_analyze.py's no-raw-time rule
@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,47 +63,12 @@ struct SuiteTelemetry
 };
 
 /**
- * Process-wide collection of suite telemetry. runSuite() records into
- * it; benches print a summary and dump it as BENCH_throughput.json so
- * the repo accumulates a performance trajectory in CI artifacts.
+ * Print the per-suite throughput table (label, workloads, wall,
+ * Minstr/s, jobs, worker utilisation; memo hits as one-word rows)
+ * and its total line for @p records, in order.
  */
-class TelemetryRegistry
-{
-  public:
-    /** The process-wide registry instance. */
-    static TelemetryRegistry &process();
-
-    void record(SuiteTelemetry t);
-    std::vector<SuiteTelemetry> snapshot() const;
-    void clear();
-
-    /** Aggregate over all records (memo hits contribute no instrs). */
-    struct Totals
-    {
-        std::size_t suites = 0;
-        std::size_t memoHits = 0;
-        std::uint64_t simInstrs = 0;
-        double wallSeconds = 0.0;
-    };
-    Totals totals() const;
-
-    /** Machine-readable dump, one object per recorded suite. */
-    std::string toJson(const std::string &bench) const;
-
-    /** Write toJson() to @p path; false (with a warning) on I/O error. */
-    bool writeJson(const std::string &path,
-                   const std::string &bench) const;
-
-    /** Human-readable per-suite throughput table. */
-    void printSummary(std::FILE *out) const;
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<SuiteTelemetry> records_;
-};
-
-/** REPRO_THROUGHPUT_JSON env override, or "BENCH_throughput.json". */
-std::string throughputJsonPath();
+void printThroughputSummary(std::FILE *out,
+                            const std::vector<SuiteTelemetry> &records);
 
 } // namespace lbp
 

@@ -33,20 +33,6 @@ namespace lbp {
 
 namespace {
 
-const char *
-outcomeName(SweepCell::Outcome o)
-{
-    switch (o) {
-      case SweepCell::Outcome::Simulated:
-        return "simulated";
-      case SweepCell::Outcome::StoreHit:
-        return "store_hit";
-      case SweepCell::Outcome::CacheHit:
-        return "cache_hit";
-    }
-    return "unknown";
-}
-
 /**
  * std::streambuf that hands every completed '\n'-terminated line to a
  * sink callback — the bridge from runSweep()'s eventLog ostream to the
@@ -375,7 +361,6 @@ struct Server::Impl
                      const std::vector<SweepConfig> &configs)
     {
         const std::size_t nc = configs.size();
-        const std::size_t nw = nc ? res.cells.size() / nc : 0;
         std::ostringstream os;
         os << ",\"cells\":" << res.stats.cellsTotal
            << ",\"counters\":";
@@ -384,20 +369,16 @@ struct Server::Impl
         os << flatCounters(reg);
         os << ",\"configs\":[";
         for (std::size_t c = 0; c < nc; ++c) {
-            double wall = 0.0;
-            for (std::size_t w = 0; w < nw; ++w)
-                wall += res.cells[c * nw + w].wallSeconds;
-            const SweepCell::Outcome outcome =
-                nw ? res.cells[c * nw].outcome
-                   : SweepCell::Outcome::Simulated;
+            const SweepConfigSummary sum = sweepConfigSummary(res, c);
             os << (c ? "," : "") << "{\"name\":";
             jsonEscape(os, configs[c].name);
             os << ",\"label\":";
             jsonEscape(os, configLabel(configs[c].cfg));
             os << ",\"key\":";
             jsonEscape(os, res.configKeys[c]);
-            os << ",\"outcome\":\"" << outcomeName(outcome)
-               << "\",\"wall_s\":" << jsonNumber(wall) << '}';
+            os << ",\"outcome\":\"" << sweepOutcomeName(sum.outcome)
+               << "\",\"wall_s\":" << jsonNumber(sum.wallSeconds)
+               << '}';
         }
         os << "],\"csv\":";
         std::ostringstream csv;

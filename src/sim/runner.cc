@@ -144,7 +144,6 @@ runSuite(const std::vector<Program> &suite, const SimConfig &cfg,
     res.telemetry.simInstrs +=
         static_cast<std::uint64_t>(suite.size()) * cfg.warmupInstrs;
     res.telemetry.wallSeconds = sw.seconds();
-    TelemetryRegistry::process().record(res.telemetry);
     return res;
 }
 

@@ -163,12 +163,6 @@ SuiteCache::run(const std::vector<Program> &suite, const SimConfig &cfg,
         auto it = map_.find(key);
         if (it != map_.end()) {
             ++stats_.hits;
-            SuiteTelemetry t;
-            t.label = configLabel(cfg);
-            t.workloads = suite.size();
-            t.jobs = it->second->telemetry.jobs;
-            t.memoHit = true;
-            TelemetryRegistry::process().record(std::move(t));
             return *it->second;
         }
     }

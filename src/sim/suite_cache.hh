@@ -66,7 +66,7 @@ class SuiteCache
     /**
      * Look up a precomputed key (suiteCacheKey) without simulating on
      * miss. Counts a hit when found; a miss is NOT counted (the caller
-     * decides what a failed probe means) and no telemetry is recorded.
+     * decides what a failed probe means).
      * Null on miss; otherwise stable until clear().
      */
     const SuiteResult *find(const std::string &key);

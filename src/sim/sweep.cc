@@ -14,10 +14,8 @@
 
 namespace lbp {
 
-namespace {
-
 const char *
-outcomeName(SweepCell::Outcome o)
+sweepOutcomeName(SweepCell::Outcome o)
 {
     switch (o) {
       case SweepCell::Outcome::Simulated:
@@ -29,6 +27,21 @@ outcomeName(SweepCell::Outcome o)
     }
     return "unknown";
 }
+
+SweepConfigSummary
+sweepConfigSummary(const SweepResult &res, std::size_t c)
+{
+    const std::size_t nc = res.configKeys.size();
+    const std::size_t nw = nc ? res.cells.size() / nc : 0;
+    SweepConfigSummary s;
+    if (nw)
+        s.outcome = res.cells[c * nw].outcome;
+    for (std::size_t w = 0; w < nw; ++w)
+        s.wallSeconds += res.cells[c * nw + w].wallSeconds;
+    return s;
+}
+
+namespace {
 
 /** Deterministic, lossless double rendering (common/jsonl.hh):
  *  cold- and warm-store sweeps must emit identical bytes. */
@@ -67,7 +80,7 @@ emitCellEvent(std::ostream &os, const std::string &trace_id,
     jsonEscape(os, cfg.name);
     os << ",\"workload\":";
     jsonEscape(os, cell.workload);
-    os << ",\"outcome\":\"" << outcomeName(cell.outcome) << '"'
+    os << ",\"outcome\":\"" << sweepOutcomeName(cell.outcome) << '"'
        << ",\"wall_s\":" << num(cell.wallSeconds)
        << ",\"minstr_per_s\":" << num(cellMinstrPerSec(cell))
        << ",\"worker\":" << cell.worker << "}\n";
@@ -84,7 +97,7 @@ emitConfigEvent(std::ostream &os, const std::string &trace_id,
     jsonEscape(os, cfg.name);
     os << ",\"key\":";
     jsonEscape(os, config_key);
-    os << ",\"outcome\":\"" << outcomeName(outcome) << '"'
+    os << ",\"outcome\":\"" << sweepOutcomeName(outcome) << '"'
        << ",\"wall_s\":" << num(wallSeconds) << "}\n";
 }
 
@@ -201,11 +214,6 @@ runSweep(const std::vector<Program> &suite,
         }
 
         done += nw;
-        SuiteTelemetry t;
-        t.label = configLabel(configs[c].cfg);
-        t.workloads = nw;
-        t.memoHit = true;
-        TelemetryRegistry::process().record(std::move(t));
         for (std::size_t w = 0; w < nw; ++w) {
             SweepCell &cell = out.cells[c * nw + w];
             cell.outcome = outcome;
@@ -292,14 +300,11 @@ runSweep(const std::vector<Program> &suite,
             wall += cell.wallSeconds;
             instrs += cell.simInstrs;
         }
-        SuiteTelemetry t;
-        t.label = configLabel(configs[c].cfg);
-        t.workloads = nw;
-        t.jobs = out.jobs;
-        t.wallSeconds = wall;
-        t.simInstrs = instrs;
-        res.telemetry = t;
-        TelemetryRegistry::process().record(std::move(t));
+        res.telemetry.label = configLabel(configs[c].cfg);
+        res.telemetry.workloads = nw;
+        res.telemetry.jobs = out.jobs;
+        res.telemetry.wallSeconds = wall;
+        res.telemetry.simInstrs = instrs;
 
         if (opts.store)
             opts.store->save(out.suiteKey, out.configKeys[c], res);
@@ -390,25 +395,21 @@ writeSweepManifest(std::ostream &os, const SweepResult &res,
     }
     os << "  ,\n  \"configs\": [\n";
     for (std::size_t c = 0; c < nc; ++c) {
-        double wall = 0.0;
-        for (std::size_t w = 0; w < nw; ++w)
-            wall += res.cells[c * nw + w].wallSeconds;
-        const SweepCell::Outcome outcome =
-            nw ? res.cells[c * nw].outcome
-               : SweepCell::Outcome::Simulated;
+        const SweepConfigSummary sum = sweepConfigSummary(res, c);
         os << "    {\"name\": ";
         jsonEscape(os, configs[c].name);
         os << ", \"label\": ";
         jsonEscape(os, configLabel(configs[c].cfg));
         os << ", \"key\": ";
         jsonEscape(os, res.configKeys[c]);
-        os << ", \"outcome\": \"" << outcomeName(outcome)
-           << "\", \"wall_s\": " << num(wall) << ",\n     \"cells\": [";
+        os << ", \"outcome\": \"" << sweepOutcomeName(sum.outcome)
+           << "\", \"wall_s\": " << num(sum.wallSeconds)
+           << ",\n     \"cells\": [";
         for (std::size_t w = 0; w < nw; ++w) {
             const SweepCell &cell = res.cells[c * nw + w];
             os << (w ? "," : "") << "\n      {\"workload\": ";
             jsonEscape(os, cell.workload);
-            os << ", \"outcome\": \"" << outcomeName(cell.outcome)
+            os << ", \"outcome\": \"" << sweepOutcomeName(cell.outcome)
                << "\", \"wall_s\": " << num(cell.wallSeconds)
                << ", \"sim_instrs\": " << cell.simInstrs
                << ", \"worker\": " << cell.worker << '}';

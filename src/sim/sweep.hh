@@ -164,6 +164,25 @@ SweepResult runSweep(const std::vector<Program> &suite,
                      const std::vector<SweepConfig> &configs,
                      const SweepOptions &opts = {});
 
+/** Manifest, event-log and wire name of an outcome ("simulated",
+ *  "store_hit", "cache_hit"). */
+const char *sweepOutcomeName(SweepCell::Outcome o);
+
+/**
+ * One config's row of the manifest, the lbp-serve-v1 result frame and
+ * lbpsweep's summary table: the outcome of its first cell (a config is
+ * served or simulated whole) and the summed wall time of its cells.
+ */
+struct SweepConfigSummary
+{
+    SweepCell::Outcome outcome = SweepCell::Outcome::Simulated;
+    double wallSeconds = 0.0;
+};
+
+/** Summarize config @p c of @p res (see SweepConfigSummary). */
+SweepConfigSummary sweepConfigSummary(const SweepResult &res,
+                                      std::size_t c);
+
 /**
  * Render the live progress line ("cells done/total, %, cells/s, ETA")
  * for @p done of @p total cells after @p elapsedSeconds. Pure

@@ -37,6 +37,22 @@ parseSpecCount(double value, std::uint64_t &out, std::uint64_t max)
 }
 
 bool
+parseSeconds(std::string_view text, double &out)
+{
+    // from_chars takes no leading '+' or space; fixed format stops at
+    // an exponent, which then fails the whole-text check.
+    const char *end = text.data() + text.size();
+    double v = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), end, v, std::chars_format::fixed);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
+        std::signbit(v))
+        return false;
+    out = v;
+    return true;
+}
+
+bool
 parseRepairPorts(std::string_view text, RepairPorts &out)
 {
     // Split at the first two dashes; each part then takes the strict
@@ -66,6 +82,34 @@ parseLimitedM(std::string_view text, unsigned &out)
     if (!parseSpecCount(text, m, RepairConfig::maxLimitedM) || m < 1)
         return false;
     out = static_cast<unsigned>(m);
+    return true;
+}
+
+bool
+parseLoopConfig(std::string_view text, LoopConfig &out)
+{
+    if (text == "64")
+        out = LoopConfig::entries64();
+    else if (text == "128")
+        out = LoopConfig::entries128();
+    else if (text == "256")
+        out = LoopConfig::entries256();
+    else
+        return false;
+    return true;
+}
+
+bool
+parseTageConfig(std::string_view text, TageConfig &out)
+{
+    if (text == "7")
+        out = TageConfig::kb7();
+    else if (text == "9")
+        out = TageConfig::kb9();
+    else if (text == "57")
+        out = TageConfig::kb57();
+    else
+        return false;
     return true;
 }
 
@@ -164,24 +208,12 @@ parseConfigLine(std::istringstream &ls, const SweepSpec &spec,
                 return false;
             }
         } else if (k == "loop") {
-            if (v == "64")
-                out.cfg.repair.loop = LoopConfig::entries64();
-            else if (v == "128")
-                out.cfg.repair.loop = LoopConfig::entries128();
-            else if (v == "256")
-                out.cfg.repair.loop = LoopConfig::entries256();
-            else {
+            if (!parseLoopConfig(v, out.cfg.repair.loop)) {
                 error = "spec: loop must be 64, 128 or 256";
                 return false;
             }
         } else if (k == "tage") {
-            if (v == "7")
-                out.cfg.tage = TageConfig::kb7();
-            else if (v == "9")
-                out.cfg.tage = TageConfig::kb9();
-            else if (v == "57")
-                out.cfg.tage = TageConfig::kb57();
-            else {
+            if (!parseTageConfig(v, out.cfg.tage)) {
                 error = "spec: tage must be 7, 9 or 57";
                 return false;
             }

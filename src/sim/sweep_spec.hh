@@ -64,6 +64,14 @@ bool parseSpecCount(double value, std::uint64_t &out,
                         std::numeric_limits<std::uint64_t>::max());
 
 /**
+ * The one strict parser for the tools' seconds-valued flags: @p text
+ * must be a plain decimal ("60", "0.5"), finite and non-negative — no
+ * sign, exponent, space or trailing characters. Returns false, leaving
+ * @p out untouched, for anything else.
+ */
+bool parseSeconds(std::string_view text, double &out);
+
+/**
  * Parse a `ports` value "M-N-P": exactly three plain decimals (see
  * parseSpecCount) with M in [RepairPorts::minEntries,
  * RepairPorts::maxEntries] and N, P in [1, RepairPorts::maxPorts].
@@ -77,6 +85,20 @@ bool parseRepairPorts(std::string_view text, RepairPorts &out);
  * untouched, for anything else.
  */
 bool parseLimitedM(std::string_view text, unsigned &out);
+
+/**
+ * Parse a `loop` value: 64, 128 or 256 CBPw-Loop BHT/PT entries
+ * (LoopConfig::entries64() and friends). Returns false, leaving @p out
+ * untouched, for anything else.
+ */
+bool parseLoopConfig(std::string_view text, LoopConfig &out);
+
+/**
+ * Parse a `tage` value: the 7, 9 or 57 KB configuration
+ * (TageConfig::kb7() and friends). Returns false, leaving @p out
+ * untouched, for anything else.
+ */
+bool parseTageConfig(std::string_view text, TageConfig &out);
 
 /** What parseRepairPorts() accepts, for error messages. */
 std::string repairPortsRange();

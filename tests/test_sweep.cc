@@ -515,6 +515,13 @@ TEST(SweepSpec, OutOfRangeModifiersAreSpecErrors)
              "forward-walk ports=32-+4-2",
              "forward-walk ports=4294967328-4-2",
              "snapshot ports=99999999999-1-1",
+             "forward-walk loop=96",
+             "forward-walk loop=128x",
+             "forward-walk loop=+128",
+             "forward-walk loop=",
+             "baseline tage=8",
+             "baseline tage=7.0",
+             "perfect tage= 9",
          }) {
         const std::string text = std::string("config ") + mods;
         SweepSpec spec;
@@ -531,10 +538,11 @@ TEST(SweepSpec, OutOfRangeModifiersAreSpecErrors)
                     "config limited-pc limited-m=1\n"
                     "config limited-pc limited-m=16 ports=32-4-4\n"
                     "config forward-walk ports=2-1-1\n"
-                    "config snapshot ports=4096-64-64\n",
+                    "config snapshot ports=4096-64-64\n"
+                    "config forward-walk loop=256 tage=57\n",
                     spec, err))
         << err;
-    ASSERT_EQ(spec.configs.size(), 4u);
+    ASSERT_EQ(spec.configs.size(), 5u);
     EXPECT_EQ(spec.configs[0].cfg.repair.limitedM, 1u);
     EXPECT_EQ(spec.configs[1].cfg.repair.limitedM,
               RepairConfig::maxLimitedM);
@@ -549,6 +557,10 @@ TEST(SweepSpec, OutOfRangeModifiersAreSpecErrors)
               RepairPorts::maxPorts);
     EXPECT_EQ(spec.configs[3].cfg.repair.ports.bhtWritePorts,
               RepairPorts::maxPorts);
+    EXPECT_EQ(spec.configs[4].cfg.repair.loop.bhtEntries,
+              LoopConfig::entries256().bhtEntries);
+    EXPECT_EQ(spec.configs[4].cfg.tage.storageKB(),
+              TageConfig::kb57().storageKB());
 }
 
 TEST(SweepSpec, PortAndLimitedMParsersLeaveOutputOnError)
@@ -570,6 +582,32 @@ TEST(SweepSpec, PortAndLimitedMParsersLeaveOutputOnError)
     EXPECT_EQ(m, 4u);
     ASSERT_TRUE(parseLimitedM("7", m));
     EXPECT_EQ(m, 7u);
+
+    LoopConfig loop = LoopConfig::entries64();
+    EXPECT_FALSE(parseLoopConfig("128x", loop));
+    EXPECT_FALSE(parseLoopConfig("", loop));
+    EXPECT_EQ(loop.bhtEntries, LoopConfig::entries64().bhtEntries);
+    ASSERT_TRUE(parseLoopConfig("256", loop));
+    EXPECT_EQ(loop.bhtEntries, LoopConfig::entries256().bhtEntries);
+
+    TageConfig tage = TageConfig::kb9();
+    EXPECT_FALSE(parseTageConfig("57KB", tage));
+    EXPECT_FALSE(parseTageConfig("8", tage));
+    EXPECT_EQ(tage.storageKB(), TageConfig::kb9().storageKB());
+    ASSERT_TRUE(parseTageConfig("57", tage));
+    EXPECT_EQ(tage.storageKB(), TageConfig::kb57().storageKB());
+
+    // The seconds-valued tool flags: plain, finite, non-negative
+    // decimals only.
+    double secs = 2.5;
+    for (const char *bad :
+         {"", "abc", "-1", "-0", "+1", " 1", "1e3", "inf", "nan", "1s"})
+        EXPECT_FALSE(parseSeconds(bad, secs)) << bad;
+    EXPECT_EQ(secs, 2.5);
+    ASSERT_TRUE(parseSeconds("0.25", secs));
+    EXPECT_EQ(secs, 0.25);
+    ASSERT_TRUE(parseSeconds("600", secs));
+    EXPECT_EQ(secs, 600.0);
 }
 
 // Figure-8 port analysis must reconcile exactly against the raw

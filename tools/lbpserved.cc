@@ -21,11 +21,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "obs/metrics.hh"
 #include "serve/server.hh"
 #include "sim/result_store.hh"
+#include "sim/sweep_spec.hh"
 
 using namespace lbp;
 
@@ -128,39 +130,67 @@ parseOptions(int argc, char **argv, Options &opt)
             v = argv[++i];
         }
         const std::string flag = spec->flag;
+        // Numeric flags take the spec grammar's strict parsers; a bad
+        // value is a usage error before anything binds.
+        const auto count = [&](std::uint64_t max) -> std::uint64_t {
+            std::uint64_t n = 0;
+            if (parseSpecCount(v, n, max))
+                return n;
+            std::fprintf(stderr,
+                         "lbpserved: %s wants an integer in [0, %llu], "
+                         "got '%s'\n",
+                         spec->flag, static_cast<unsigned long long>(max),
+                         v);
+            std::exit(1);
+        };
+        const auto seconds = [&]() {
+            double s = 0.0;
+            if (parseSeconds(v, s))
+                return s;
+            std::fprintf(stderr,
+                         "lbpserved: %s wants a finite, non-negative "
+                         "number of seconds, got '%s'\n",
+                         spec->flag, v);
+            std::exit(1);
+        };
+        constexpr std::uint64_t portMax = 65535;
+        constexpr unsigned u32Max = std::numeric_limits<unsigned>::max();
+        constexpr std::uint64_t u64Max =
+            std::numeric_limits<std::uint64_t>::max();
         if (flag == "--help") {
             usage();
             std::exit(0);
         } else if (flag == "--host") {
             opt.host = v;
         } else if (flag == "--port") {
-            opt.port = static_cast<std::uint16_t>(std::atoi(v));
+            opt.port = static_cast<std::uint16_t>(count(portMax));
         } else if (flag == "--port-file") {
             opt.portFile = v;
         } else if (flag == "--store") {
             opt.storeDir = v;
         } else if (flag == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::atoi(v));
+            opt.jobs = static_cast<unsigned>(count(u32Max));
         } else if (flag == "--max-queue") {
-            opt.maxQueue = static_cast<std::size_t>(std::atoi(v));
+            opt.maxQueue = static_cast<std::size_t>(
+                count(std::numeric_limits<std::size_t>::max()));
         } else if (flag == "--max-cells") {
-            opt.maxCells = std::strtoull(v, nullptr, 10);
+            opt.maxCells = count(u64Max);
         } else if (flag == "--queue-timeout") {
-            opt.queueTimeout = std::atof(v);
+            opt.queueTimeout = seconds();
         } else if (flag == "--event-log") {
             opt.eventLogPath = v;
         } else if (flag == "--metrics-port") {
-            opt.metricsPort = std::atoi(v);
+            opt.metricsPort = static_cast<int>(count(portMax));
         } else if (flag == "--metrics-port-file") {
             opt.metricsPortFile = v;
         } else if (flag == "--heartbeat") {
-            opt.heartbeat = std::atof(v);
+            opt.heartbeat = seconds();
         } else if (flag == "--store-gc-age") {
-            opt.gcAge = std::atof(v);
+            opt.gcAge = seconds();
         } else if (flag == "--store-gc-bytes") {
-            opt.gcBytes = std::strtoull(v, nullptr, 10);
+            opt.gcBytes = count(u64Max);
         } else if (flag == "--store-gc-interval") {
-            opt.gcInterval = std::atof(v);
+            opt.gcInterval = seconds();
         } else if (flag == "--trace-out") {
             opt.traceOutPath = v;
         } else if (flag == "--quiet") {

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,15 +44,15 @@ struct Options
     unsigned suite = 0;           ///< 0 = no suite run
     bool fullSuite = false;
     std::string scheme = "baseline";
+    RepairKind kind = RepairKind::Perfect;  ///< unused for baseline
     RepairPorts ports{32, 4, 2};
     bool coalesce = false;
     unsigned limitedM = 4;
-    unsigned loopEntries = 128;
-    unsigned tageKB = 7;
+    LoopConfig loop = LoopConfig::entries128();
+    TageConfig tage = TageConfig::kb7();
     std::uint64_t warmup = 40000;
     std::uint64_t instrs = 60000;
     std::string csvPath;
-    std::string throughputJson;
     unsigned jobs = 0;            ///< 0 = REPRO_JOBS / hardware
     bool list = false;
 
@@ -69,7 +70,7 @@ struct Options
 enum class Opt
 {
     Help, List, Workload, Suite, Scheme, Ports, Coalesce, LimitedM,
-    Loop, Tage, Warmup, Instr, Csv, Jobs, ThroughputJson,
+    Loop, Tage, Warmup, Instr, Csv, Jobs,
     TraceOut, TraceKonata, TraceWindow, ForensicsCsv, ForensicsStride,
     MetricsJson, TopOffenders,
 };
@@ -120,8 +121,6 @@ constexpr OptSpec kOptions[] = {
     {Opt::Jobs, "--jobs", nullptr, "<N>",
      "worker threads for suite builds and runs\n"
      "(default: REPRO_JOBS, else hardware concurrency)"},
-    {Opt::ThroughputJson, "--throughput-json", nullptr, "<path>",
-     "dump throughput telemetry as JSON"},
     {Opt::TraceOut, "--trace-out", nullptr, "<path>",
      "write a Chrome trace_event JSON of pipeline\n"
      "stage events (chrome://tracing, Perfetto)"},
@@ -174,30 +173,6 @@ findOption(const char *arg)
     return nullptr;
 }
 
-std::optional<RepairKind>
-parseScheme(const std::string &s)
-{
-    const struct
-    {
-        const char *name;
-        RepairKind kind;
-    } names[] = {
-        {"perfect", RepairKind::Perfect},
-        {"no-repair", RepairKind::NoRepair},
-        {"retire-update", RepairKind::RetireUpdate},
-        {"backward-walk", RepairKind::BackwardWalk},
-        {"snapshot", RepairKind::Snapshot},
-        {"forward-walk", RepairKind::ForwardWalk},
-        {"limited-pc", RepairKind::LimitedPc},
-        {"multi-stage", RepairKind::MultiStage},
-        {"future-file", RepairKind::FutureFile},
-    };
-    for (const auto &n : names)
-        if (s == n.name)
-            return n.kind;
-    return std::nullopt;
-}
-
 bool
 parseOptions(int argc, char **argv, Options &opt)
 {
@@ -216,6 +191,20 @@ parseOptions(int argc, char **argv, Options &opt)
             }
             v = argv[++i];
         }
+        // The counting flags share the spec grammar's strict parser.
+        const auto count = [&](std::uint64_t &out, std::uint64_t max) {
+            if (parseSpecCount(v, out, max))
+                return true;
+            std::fprintf(stderr,
+                         "%s wants an integer in [0, %llu]%s, got '%s'\n",
+                         spec->flag, static_cast<unsigned long long>(max),
+                         spec->id == Opt::Suite ? " or 'all'" : "", v);
+            return false;
+        };
+        constexpr unsigned u32Max = std::numeric_limits<unsigned>::max();
+        constexpr std::uint64_t u64Max =
+            std::numeric_limits<std::uint64_t>::max();
+        std::uint64_t n = 0;
         switch (spec->id) {
           case Opt::Help:
             usage();
@@ -225,22 +214,30 @@ parseOptions(int argc, char **argv, Options &opt)
             break;
           case Opt::Workload: {
             const char *colon = std::strchr(v, ':');
-            if (!colon) {
-                std::fprintf(stderr, "--workload wants Category:N\n");
+            if (!colon || !parseSpecCount(colon + 1, n, u32Max)) {
+                std::fprintf(stderr,
+                             "--workload wants Category:N with N an "
+                             "integer in [0, %u], got '%s'\n",
+                             u32Max, v);
                 return false;
             }
             opt.workload = {{std::string(v, colon - v),
-                             static_cast<unsigned>(
-                                 std::atoi(colon + 1))}};
+                             static_cast<unsigned>(n)}};
             break;
           }
           case Opt::Suite:
             if (std::string(v) == "all")
                 opt.fullSuite = true;
-            else
-                opt.suite = static_cast<unsigned>(std::atoi(v));
+            else if (!count(n, u32Max))
+                return false;
+            opt.suite = static_cast<unsigned>(n);
             break;
           case Opt::Scheme:
+            if (std::string(v) != "baseline" &&
+                !sweepSchemeKind(v, opt.kind)) {
+                std::fprintf(stderr, "unknown scheme %s\n", v);
+                return false;
+            }
             opt.scheme = v;
             break;
           case Opt::Ports:
@@ -261,25 +258,32 @@ parseOptions(int argc, char **argv, Options &opt)
             }
             break;
           case Opt::Loop:
-            opt.loopEntries = static_cast<unsigned>(std::atoi(v));
+            if (!parseLoopConfig(v, opt.loop)) {
+                std::fprintf(stderr, "--loop must be 64, 128 or 256\n");
+                return false;
+            }
             break;
           case Opt::Tage:
-            opt.tageKB = static_cast<unsigned>(std::atoi(v));
+            if (!parseTageConfig(v, opt.tage)) {
+                std::fprintf(stderr, "--tage must be 7, 9 or 57\n");
+                return false;
+            }
             break;
           case Opt::Warmup:
-            opt.warmup = std::strtoull(v, nullptr, 10);
+            if (!count(opt.warmup, u64Max))
+                return false;
             break;
           case Opt::Instr:
-            opt.instrs = std::strtoull(v, nullptr, 10);
+            if (!count(opt.instrs, u64Max))
+                return false;
             break;
           case Opt::Csv:
             opt.csvPath = v;
             break;
           case Opt::Jobs:
-            opt.jobs = static_cast<unsigned>(std::atoi(v));
-            break;
-          case Opt::ThroughputJson:
-            opt.throughputJson = v;
+            if (!count(n, u32Max))
+                return false;
+            opt.jobs = static_cast<unsigned>(n);
             break;
           case Opt::TraceOut:
             opt.traceOut = v;
@@ -288,19 +292,23 @@ parseOptions(int argc, char **argv, Options &opt)
             opt.traceKonata = v;
             break;
           case Opt::TraceWindow:
-            opt.traceWindow = std::strtoull(v, nullptr, 10);
+            if (!count(opt.traceWindow, u64Max))
+                return false;
             break;
           case Opt::ForensicsCsv:
             opt.forensicsCsv = v;
             break;
           case Opt::ForensicsStride:
-            opt.forensicsStride = std::strtoull(v, nullptr, 10);
+            if (!count(opt.forensicsStride, u64Max))
+                return false;
             break;
           case Opt::MetricsJson:
             opt.metricsJson = v;
             break;
           case Opt::TopOffenders:
-            opt.topOffenders = static_cast<unsigned>(std::atoi(v));
+            if (!count(n, u32Max))
+                return false;
+            opt.topOffenders = static_cast<unsigned>(n);
             break;
         }
     }
@@ -313,34 +321,14 @@ makeConfig(const Options &opt)
     SimConfig cfg;
     cfg.warmupInstrs = opt.warmup;
     cfg.measureInstrs = opt.instrs;
-    switch (opt.tageKB) {
-      case 7: cfg.tage = TageConfig::kb7(); break;
-      case 9: cfg.tage = TageConfig::kb9(); break;
-      case 57: cfg.tage = TageConfig::kb57(); break;
-      default:
-        std::fprintf(stderr, "--tage must be 7, 9 or 57\n");
-        std::exit(1);
-    }
+    cfg.tage = opt.tage;
     if (opt.scheme != "baseline") {
-        const auto kind = parseScheme(opt.scheme);
-        if (!kind) {
-            std::fprintf(stderr, "unknown scheme %s\n",
-                         opt.scheme.c_str());
-            std::exit(1);
-        }
         cfg.useLocal = true;
-        cfg.repair.kind = *kind;
+        cfg.repair.kind = opt.kind;
         cfg.repair.ports = opt.ports;
         cfg.repair.coalesce = opt.coalesce;
         cfg.repair.limitedM = opt.limitedM;
-        switch (opt.loopEntries) {
-          case 64: cfg.repair.loop = LoopConfig::entries64(); break;
-          case 128: cfg.repair.loop = LoopConfig::entries128(); break;
-          case 256: cfg.repair.loop = LoopConfig::entries256(); break;
-          default:
-            std::fprintf(stderr, "--loop must be 64, 128 or 256\n");
-            std::exit(1);
-        }
+        cfg.repair.loop = opt.loop;
     }
     cfg.obs.trace =
         !opt.traceOut.empty() || !opt.traceKonata.empty();
@@ -588,9 +576,6 @@ main(int argc, char **argv)
 
     if (!opt.csvPath.empty())
         writeCsv(opt.csvPath, res);
-    if (!opt.throughputJson.empty())
-        TelemetryRegistry::process().writeJson(opt.throughputJson,
-                                               "lbpsim");
     writeObsOutputs(opt, res.runs);
     return 0;
 }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/telemetry.hh"
 #include "common/thread_pool.hh"
 #include "obs/port_analysis.hh"
 #include "serve/client.hh"
@@ -60,6 +59,8 @@ struct Options
     std::string csvPath;
     std::string portAnalysisPath;
     std::string server;       ///< host:port of a resident lbpserved
+    std::string serverHost;   ///< --server's host part
+    std::uint16_t serverPort = 0;  ///< --server's port part
     bool quiet = false;       ///< suppress the live progress line
 
     std::string traceId;      ///< request trace id (--trace)
@@ -193,15 +194,32 @@ parseOptions(int argc, char **argv, Options &opt)
         } else if (flag == "--port-analysis") {
             opt.portAnalysisPath = v;
         } else if (flag == "--server") {
+            const char *colon = std::strrchr(v, ':');
+            if (!colon || !parseSpecCount(colon + 1, n, 65535) || n < 1) {
+                std::fprintf(stderr,
+                             "lbpsweep: --server wants host:port with "
+                             "port in [1, 65535], got '%s'\n",
+                             v);
+                return false;
+            }
             opt.server = v;
+            opt.serverHost.assign(v, colon);
+            opt.serverPort = static_cast<std::uint16_t>(n);
         } else if (flag == "--trace") {
             opt.traceId = v;
         } else if (flag == "--store-gc") {
             opt.storeGc = true;
         } else if (flag == "--store-gc-age") {
-            opt.gcAge = std::atof(v);
+            if (!parseSeconds(v, opt.gcAge)) {
+                std::fprintf(stderr,
+                             "lbpsweep: --store-gc-age wants a finite, "
+                             "non-negative number of seconds, got '%s'\n",
+                             v);
+                return false;
+            }
         } else if (flag == "--store-gc-bytes") {
-            opt.gcBytes = std::strtoull(v, nullptr, 10);
+            if (!count(opt.gcBytes, u64Max))
+                return false;
         } else if (flag == "--quiet") {
             opt.quiet = true;
         }
@@ -293,14 +311,22 @@ runStoreGc(const Options &opt)
     return 0;
 }
 
-/** "store_hit" -> "store hit" for the summary table. */
-std::string
-tableOutcome(std::string s)
+/**
+ * One row of the per-config summary table, local or served: the
+ * outcome arrives as its sweepOutcomeName() and prints with a space
+ * ("store_hit" -> "store hit").
+ */
+void
+addConfigRow(TextTable &table, const std::string &name,
+             const std::string &label, std::string outcome,
+             double wallSeconds)
 {
-    for (char &c : s)
+    for (char &c : outcome)
         if (c == '_')
             c = ' ';
-    return s;
+    char wallBuf[32];
+    std::snprintf(wallBuf, sizeof(wallBuf), "%.2f", wallSeconds);
+    table.addRow({name, label, outcome, wallBuf});
 }
 
 /**
@@ -325,12 +351,8 @@ runServerMode(const Options &opt, const SweepSpec &spec,
                      "--server mode; ignoring\n");
 
     ServeClientOptions copts;
-    const std::size_t colon = opt.server.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= opt.server.size())
-        die("--server wants host:port");
-    copts.host = opt.server.substr(0, colon);
-    copts.port = static_cast<std::uint16_t>(
-        std::atoi(opt.server.c_str() + colon + 1));
+    copts.host = opt.serverHost;
+    copts.port = opt.serverPort;
     copts.specText = specText;
     copts.suite = opt.suite;
     copts.fullSuite = opt.fullSuite;
@@ -365,12 +387,8 @@ runServerMode(const Options &opt, const SweepSpec &spec,
         std::printf("server trace id: %s\n", res.traceId.c_str());
 
     TextTable table({"config", "label", "outcome", "wall_s"});
-    for (const auto &c : res.configs) {
-        char wallBuf[32];
-        std::snprintf(wallBuf, sizeof(wallBuf), "%.2f", c.wallSeconds);
-        table.addRow({c.name, c.label, tableOutcome(c.outcome),
-                      wallBuf});
-    }
+    for (const auto &c : res.configs)
+        addConfigRow(table, c.name, c.label, c.outcome, c.wallSeconds);
     std::printf("%s", table.render().c_str());
 
     const auto u64 = [&res](const char *name) {
@@ -469,20 +487,10 @@ main(int argc, char **argv)
 
     // Per-config summary table.
     TextTable table({"config", "label", "outcome", "wall_s"});
-    const std::size_t nw = suite.size();
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        double wall = 0.0;
-        for (std::size_t w = 0; w < nw; ++w)
-            wall += res.cells[c * nw + w].wallSeconds;
-        const SweepCell::Outcome outcome = res.cells[c * nw].outcome;
-        const char *name =
-            outcome == SweepCell::Outcome::Simulated ? "simulated"
-            : outcome == SweepCell::Outcome::StoreHit ? "store hit"
-                                                      : "cache hit";
-        char wallBuf[32];
-        std::snprintf(wallBuf, sizeof(wallBuf), "%.2f", wall);
-        table.addRow({configs[c].name, configLabel(configs[c].cfg),
-                      name, wallBuf});
+        const SweepConfigSummary sum = sweepConfigSummary(res, c);
+        addConfigRow(table, configs[c].name, configLabel(configs[c].cfg),
+                     sweepOutcomeName(sum.outcome), sum.wallSeconds);
     }
     std::printf("%s", table.render().c_str());
 
