@@ -1,20 +1,24 @@
 /**
  * @file
- * Recycled pool for the heavyweight per-branch TAGE state.
+ * Recycled pool for all per-branch state.
  *
  * The paper's point about local-predictor "baggage" cuts both ways for
  * the simulator itself: carrying a full TagePred (per-table indices and
  * tags) plus a TageCheckpoint (folded histories) inside every slot of
  * the 8K-entry DynInst ring made DynInst ~300 bytes, most of it dead
- * for the non-branch majority. The pool stores that state only for
- * branches actually in flight (bounded by fetch queue + ROB occupancy),
- * in one contiguous uint16 arena sized to the predictor's real table
- * count instead of the tageMaxTables compile-time cap. DynInst carries
- * a 4-byte pool index instead.
+ * for the non-branch majority. The pool stores branch state only for
+ * branches actually in flight (bounded by fetch queue + ROB occupancy):
+ * the BranchRec the repair schemes read, the CFG cursor a resteer
+ * resumes fetch from, and the TAGE baggage in one contiguous uint16
+ * arena sized to the predictor's real table count instead of the
+ * tageMaxTables compile-time cap. A DynInst keeps only a BranchRec
+ * pointer, so every ring slot fits one cache line.
  *
- * Allocation and free are O(1) free-list operations; indices are
- * internal bookkeeping and never influence simulated behavior, so
- * recycling order cannot break bit-identical determinism.
+ * The record array is sized once and never reallocates, so a pointer
+ * handed out by alloc() stays valid until it is returned to free().
+ * Allocation and free are O(1) free-list operations; which record a
+ * branch gets is internal bookkeeping that never influences simulated
+ * behavior, so recycling order cannot break bit-identical determinism.
  */
 
 #ifndef LBP_CORE_BRANCH_REC_POOL_HH
@@ -25,12 +29,19 @@
 
 #include "bpu/tage.hh"
 #include "common/logging.hh"
+#include "core/dyn_inst.hh"
+#include "workload/program.hh"
 
 namespace lbp {
 
-/** The pooled per-branch record: prediction metadata + checkpoint. */
-struct TageBranchRec
+/**
+ * The pooled per-branch record. DynInst::br points at the BranchRec
+ * base; the rest is read only by the core.
+ */
+struct TageBranchRec : BranchRec
 {
+    /** CFG position of the branch (wrong-path navigation seed). */
+    CfgCursor fetchCursor{};
     TagePred pred;
     TageCheckpoint ckpt;
 };
@@ -38,8 +49,6 @@ struct TageBranchRec
 class BranchRecPool
 {
   public:
-    static constexpr std::uint32_t invalid = 0xffffffffu;
-
     /**
      * @param capacity   max simultaneously-live records; callers size
      *                   this to worst-case in-flight branches.
@@ -68,35 +77,22 @@ class BranchRecPool
     BranchRecPool(const BranchRecPool &) = delete;
     BranchRecPool &operator=(const BranchRecPool &) = delete;
 
-    std::uint32_t alloc()
+    /** A free record; its contents are the previous holder's. */
+    TageBranchRec *alloc()
     {
         lbp_assert(!freeList_.empty() &&
                    "branch-record pool exhausted: a squash path leaked "
                    "records");
         const std::uint32_t idx = freeList_.back();
         freeList_.pop_back();
-        return idx;
+        return &recs_[idx];
     }
 
-    void free(std::uint32_t idx)
+    void free(TageBranchRec *rec)
     {
-        lbp_assert(idx < recs_.size());
-        freeList_.push_back(idx);
-    }
-
-    TageBranchRec &get(std::uint32_t idx)
-    {
-        lbp_assert(idx < recs_.size());
-        return recs_[idx];
-    }
-
-    std::uint32_t capacity() const
-    {
-        return static_cast<std::uint32_t>(recs_.size());
-    }
-    std::uint32_t live() const
-    {
-        return capacity() - static_cast<std::uint32_t>(freeList_.size());
+        lbp_assert(rec >= recs_.data() &&
+                   rec < recs_.data() + recs_.size());
+        freeList_.push_back(static_cast<std::uint32_t>(rec - recs_.data()));
     }
 
   private:

@@ -356,7 +356,7 @@ OooCore::doFlush(DynInst &br)
     // this branch's own history push, then re-push the actual outcome.
     tage_.restore(brRec(br).ckpt);
     tage_.specUpdateHist(br.pc, br.actualDir);
-    br.br.finalPred = br.actualDir;
+    br.br->finalPred = br.actualDir;
 
     // Everything fetched after the branch is wrong-path and lives only
     // in the fetch queue (wrong-path instructions never allocate);
@@ -384,9 +384,9 @@ OooCore::doFlush(DynInst &br)
         rec.cycle = now_;
         rec.pc = br.pc;
         rec.seq = br.seq;
-        if (br.br.earlyResteered)
+        if (br.br->earlyResteered)
             rec.source = MispredictSource::BhtDefer;
-        else if (br.br.usedLoop)
+        else if (br.br->usedLoop)
             rec.source = MispredictSource::LoopOverride;
         else if (brRec(br).pred.provider >= 0)
             rec.source = MispredictSource::TageTable;
@@ -430,7 +430,7 @@ OooCore::deferStage()
         if (scheme_) {
             const auto out = scheme_->atAlloc(di, now_);
 #ifdef LBP_AUDIT
-            // Defer-side audit record: di.br.local now holds the
+            // Defer-side audit record: di.br->local now holds the
             // checkpointed table's lookup. Branches squashed out of
             // the defer queue before this point never touched
             // BHT-Defer, so skipping them is exact, not a gap.
@@ -515,8 +515,11 @@ OooCore::handleEarlyResteer(DynInst &br, bool new_dir)
         DynInst &q = inst(s);
         if (q.seq != s)
             continue;
+        // Only a branch's cursor is ever read back (it seeds wrong-path
+        // navigation), so only branches keep one.
+        const CfgCursor cursor = q.br ? brRec(q).fetchCursor : CfgCursor{};
         // Squashed branches (wrong- and true-path alike) release their
-        // pooled TAGE record; replayed ones get a fresh one at refetch.
+        // pooled record; replayed ones get a fresh one at refetch.
         freeBrRec(q);
         if (q.wrongPath)
             continue;
@@ -529,7 +532,7 @@ OooCore::handleEarlyResteer(DynInst &br, bool new_dir)
         r.desc.taken = q.actualDir;
         r.desc.memAddr = q.memAddr;
         r.dynIdx = q.dynIdx;
-        r.cursor = q.fetchCursor;
+        r.cursor = cursor;
         replay_.pushBack(r);
         q.seq = invalidSeq;  // slot retired from circulation
     }
@@ -557,7 +560,7 @@ OooCore::handleEarlyResteer(DynInst &br, bool new_dir)
         wrongPath_ = true;
         if (tracer_)
             tracer_->noteDiverge(stats_.wrongPathFetched);
-        nav_ = br.fetchCursor;
+        nav_ = brRec(br).fetchCursor;
         cfgAdvance(prog_, nav_, new_dir);
     }
     fetchStallUntil_ = std::max(fetchStallUntil_, now_ + 1);
@@ -638,7 +641,6 @@ OooCore::scheduleInst(DynInst &di)
     }
 
     di.doneCycle = t + lat;
-    di.completed = true;
     if (tracer_)
         tracer_->stage(TraceStage::Issue, t, di.doneCycle, di.seq,
                        di.pc, false);
@@ -667,49 +669,59 @@ OooCore::fetchStage()
     if (nextSeq_ - oldest_live >= ringSize() - 64)
         return;
 
+    // Wrong-path descriptors are built here; true-path ones are read
+    // where they live (replay backlog or executor), never copied.
+    DynInstDesc wrong_desc;
     unsigned n = 0;
     while (n < cfg_.core.fetchWidth &&
            fetchQueue_.size() < cfg_.core.fetchQueueEntries) {
-        DynInstDesc desc;
+        const DynInstDesc *desc = nullptr;
         std::uint64_t dyn_idx = 0;
         CfgCursor cursor_before{};
         bool from_executor = false;
+        bool from_replay = false;
 
         if (!wrongPath_) {
             if (!replay_.empty()) {
                 const Replayed &r = replay_.front();
-                desc = r.desc;
+                desc = &r.desc;
                 dyn_idx = r.dynIdx;
                 cursor_before = r.cursor;
-                replay_.popFront();
+                from_replay = true;
             } else {
                 cursor_before = exec_.cursor();
-                desc = exec_.next();
+                desc = &exec_.next();
                 dyn_idx = exec_.instCount() - 1;
                 from_executor = true;
             }
         } else {
             cursor_before = nav_;
             const StaticInst &si = cfgInst(prog_, nav_);
-            desc = DynInstDesc{};
-            desc.pc = si.pc;
-            desc.cls = si.cls;
-            desc.dep1 = si.dep1;
-            desc.dep2 = si.dep2;
+            wrong_desc.pc = si.pc;
+            wrong_desc.cls = si.cls;
+            wrong_desc.dep1 = si.dep1;
+            wrong_desc.dep2 = si.dep2;
+            desc = &wrong_desc;
         }
 
-        icacheCheck(desc.pc);
+        icacheCheck(desc->pc);
 
-        DynInst &di =
-            makeInst(desc, dyn_idx, cursor_before, wrongPath_);
+        DynInst &di = makeInst(*desc, dyn_idx, wrongPath_);
+        if (from_replay)
+            replay_.popFront();
         if (tracer_)
             tracer_->stage(TraceStage::Fetch, now_, now_, di.seq,
                            di.pc, di.wrongPath);
 
         bool fetch_break = false;
         if (di.isCond()) {
-            di.br.tageRec = brPool_.alloc();
-            TageBranchRec &tr = brRec(di);
+            // A recycled record holds its last branch's state: reset
+            // the part the schemes read; predict and checkpoint below
+            // overwrite the TAGE part.
+            TageBranchRec &tr = *brPool_.alloc();
+            static_cast<BranchRec &>(tr) = BranchRec{};
+            tr.fetchCursor = cursor_before;
+            di.br = &tr;
             tage_.checkpoint(tr.ckpt);
             const bool tage_dir = tage_.predict(di.pc, tr.pred);
             bool final_dir = tage_dir;
@@ -724,8 +736,8 @@ OooCore::fetchStage()
                     auditor_->onPredict(di);
 #endif
             } else {
-                di.br.tageDir = tage_dir;
-                di.br.finalPred = tage_dir;
+                tr.tageDir = tage_dir;
+                tr.finalPred = tage_dir;
             }
             tage_.specUpdateHist(di.pc, final_dir);
 
@@ -798,14 +810,15 @@ OooCore::icacheCheck(Addr pc)
 
 DynInst &
 OooCore::makeInst(const DynInstDesc &desc, std::uint64_t dyn_idx,
-                  const CfgCursor &cursor, bool wrong_path)
+                  bool wrong_path)
 {
     const InstSeq seq = nextSeq_++;
     DynInst &di = inst(seq);
     // Backstop: every squash/retire path frees its pooled record, but a
     // leaked one must not survive slot reuse.
     freeBrRec(di);
-    di = DynInst{};
+    // Every field is written below (and br is null once freed), so the
+    // slot needs no whole-record reset.
     di.seq = seq;
     di.pc = desc.pc;
     di.cls = desc.cls;
@@ -813,10 +826,11 @@ OooCore::makeInst(const DynInstDesc &desc, std::uint64_t dyn_idx,
     di.dep2 = desc.dep2;
     di.wrongPath = wrong_path;
     di.actualDir = desc.taken;
+    di.mispredicted = false;
     di.memAddr = desc.memAddr;
     di.dynIdx = dyn_idx;
-    di.fetchCursor = cursor;
     di.fetchCycle = now_;
+    di.doneCycle = 0;
     if (!wrong_path)
         trueSeqRing_[dyn_idx & ((1u << trueRingLog) - 1)] = seq;
     ++stats_.fetchedInstrs;

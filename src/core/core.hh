@@ -205,22 +205,23 @@ class OooCore
     void btbCheck(Addr pc);
     void icacheCheck(Addr pc);
     DynInst &makeInst(const DynInstDesc &desc, std::uint64_t dyn_idx,
-                      const CfgCursor &cursor, bool wrong_path);
+                      bool wrong_path);
 
     Cycle nextWakeup();
     void fastForwardTo(Cycle t);
 
-    /** Pooled TAGE baggage of an in-flight conditional branch. */
-    TageBranchRec &brRec(const DynInst &di)
+    /** Pooled record of an in-flight conditional branch (every br
+     *  the core sets comes from brPool_). */
+    static TageBranchRec &brRec(const DynInst &di)
     {
-        return brPool_.get(di.br.tageRec);
+        return static_cast<TageBranchRec &>(*di.br);
     }
     /** Release a branch's pool record (idempotent). */
     void freeBrRec(DynInst &di)
     {
-        if (di.br.tageRec != BranchRecPool::invalid) {
-            brPool_.free(di.br.tageRec);
-            di.br.tageRec = BranchRecPool::invalid;
+        if (di.br) {
+            brPool_.free(&brRec(di));
+            di.br = nullptr;
         }
     }
 
@@ -254,7 +255,7 @@ class OooCore
     std::vector<std::uint8_t> storeCal_;
     /** Branch-resolution events, fired by resolveStage. */
     EventWheel resolveWheel_;
-    /** TAGE pred/checkpoint storage for in-flight branches. */
+    /** Branch state of in-flight conditional branches. */
     BranchRecPool brPool_;
 
     std::vector<DynInst> ring_;

@@ -8,6 +8,12 @@
  * — O(1) restore, section 2.3.1), the pre-update local BHT state (the
  * 11-bit counter of section 3.1), an OBQ entry id, and scheme-specific
  * slots (snapshot id, limited-PC payload index).
+ *
+ * None of it is inline. A DynInst holds only what every pipeline stage
+ * reads and fits one 64-byte cache line; a conditional branch's state
+ * lives in a record of the core's BranchRecPool that DynInst::br points
+ * at, so the ~95% of fetched instructions that are not conditional
+ * branches never write or read branch state.
  */
 
 #ifndef LBP_CORE_DYN_INST_HH
@@ -17,25 +23,17 @@
 
 #include "bpu/predictor.hh"
 #include "common/types.hh"
-#include "workload/program.hh"
 
 namespace lbp {
 
 /**
- * Branch-prediction state carried by an in-flight conditional branch.
- *
- * The heavyweight TAGE state (per-table indices/tags and the global
- * checkpoint) lives in the core's BranchRecPool, referenced by
- * tageRec; only the core's fetch/retire/flush paths touch it. What
- * stays inline is the slim state the repair schemes and the auditor
- * read.
+ * Branch-prediction state carried by an in-flight conditional branch:
+ * what the repair schemes and the auditor read and write. The core
+ * keeps it in its BranchRecPool beside the TAGE baggage only the
+ * core's fetch/retire/flush paths touch.
  */
 struct BranchRec
 {
-    /** BranchRecPool slot for the TAGE pred+checkpoint baggage
-     *  (BranchRecPool::invalid when none is held). */
-    std::uint32_t tageRec = 0xffffffffu;
-
     LocalPred local;        ///< local predictor lookup at fetch (or alloc)
 
     bool finalPred = false; ///< pipeline's current direction for fetch
@@ -68,18 +66,13 @@ struct DynInst
 
     /** Position in the true-path dynamic stream (dependency naming). */
     std::uint64_t dynIdx = 0;
-    /** CFG position of this instruction (wrong-path navigation seed). */
-    CfgCursor fetchCursor{};
 
     Cycle fetchCycle = 0;
     Cycle doneCycle = 0;
 
-    // Back-end bookkeeping.
-    std::uint8_t depsOutstanding = 0;
-    bool issued = false;
-    bool completed = false;
-
-    BranchRec br;  ///< valid only when cls == CondBranch
+    /** Branch state; non-null only while a conditional branch holds a
+     *  record (from fetch until retire or squash). */
+    BranchRec *br = nullptr;
 
     bool isCond() const { return cls == InstClass::CondBranch; }
     bool isMem() const
@@ -87,6 +80,14 @@ struct DynInst
         return cls == InstClass::Load || cls == InstClass::Store;
     }
 };
+
+// One cache line per ring slot. Deliberately no alignas(64): it makes
+// every ring an over-aligned allocation, which doubled the figure-sweep
+// benchmark's peak RSS for no speed-up (EXPERIMENTS.md), whereas an
+// unaligned ring only lets some slots straddle two lines.
+static_assert(sizeof(DynInst) <= 64,
+              "DynInst must fit one cache line; branch-only state "
+              "belongs in BranchRec");
 
 } // namespace lbp
 

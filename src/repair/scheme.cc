@@ -78,7 +78,7 @@ RepairScheme::pollutedPcsSince(InstSeq seq) const
 RepairScheme::PredictOutcome
 RepairScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
 {
-    BranchRec &br = di.br;
+    BranchRec &br = *di.br;
     br.tageDir = tage_dir;
 
     const bool usable = bhtUsable(di.pc, now);
@@ -120,7 +120,7 @@ RepairScheme::atSquash(InstSeq, const DynInst &)
 void
 RepairScheme::atRetire(DynInst &di)
 {
-    BranchRec &br = di.br;
+    BranchRec &br = *di.br;
     lp_->retireTrain(di.pc, di.actualDir);
     if (br.local.predictable)
         lp_->predictionFeedback(di.pc, br.loopDir, di.actualDir);

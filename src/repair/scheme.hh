@@ -162,7 +162,7 @@ class RepairScheme
     /**
      * Fetch-stage handling of a conditional branch: local lookup,
      * override decision against @p tage_dir, checkpointing, and
-     * speculative BHT update. Fills di.br.
+     * speculative BHT update. Fills *di.br.
      */
     virtual PredictOutcome atPredict(DynInst &di, bool tage_dir,
                                      Cycle now);
@@ -217,7 +217,7 @@ class RepairScheme
      * True when the checkpointed local state is read and written at
      * the alloc/defer stage rather than at fetch (MultiStage's
      * BHT-Defer): the LBP_AUDIT record must then be taken after
-     * atAlloc(), when di.br.local holds the audited table's lookup.
+     * atAlloc(), when di.br->local holds the audited table's lookup.
      */
     virtual bool auditsAtAlloc() const { return false; }
 

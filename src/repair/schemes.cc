@@ -81,36 +81,36 @@ WalkSchemeBase::checkpoint(DynInst &di, Cycle)
     // position "before the tail" purely to order a later walk. When the
     // OBQ is full, no id is assigned at all and a misprediction of that
     // branch cannot be recovered (section 3.1 overflow rule).
-    di.br.obqId = invalidId;
-    di.br.checkpointed = false;
-    di.br.mergedEntry = false;
+    di.br->obqId = invalidId;
+    di.br->checkpointed = false;
+    di.br->mergedEntry = false;
 
-    if (di.br.local.bhtHit) {
+    if (di.br->local.bhtHit) {
         bool merged = false;
         const std::uint64_t id =
-            obq_.push(di.pc, di.br.local.preState, di.seq, &merged);
+            obq_.push(di.pc, di.br->local.preState, di.seq, &merged);
         if (id != invalidId) {
-            di.br.obqId = id;
-            di.br.checkpointed = true;
-            di.br.mergedEntry = merged;
+            di.br->obqId = id;
+            di.br->checkpointed = true;
+            di.br->mergedEntry = merged;
         }
     } else if (!obq_.full()) {
-        di.br.obqId = obq_.tail();  // ordering marker, no storage
+        di.br->obqId = obq_.tail();  // ordering marker, no storage
     }
 }
 
 void
 WalkSchemeBase::atSquash(InstSeq kept_seq, const DynInst &cause)
 {
-    obq_.squashYoungerThan(kept_seq, cause.pc, cause.br.local.preState);
+    obq_.squashYoungerThan(kept_seq, cause.pc, cause.br->local.preState);
 }
 
 void
 WalkSchemeBase::atRetire(DynInst &di)
 {
     RepairScheme::atRetire(di);
-    if (di.br.checkpointed)
-        obq_.retireUpTo(di.br.obqId, di.seq);
+    if (di.br->checkpointed)
+        obq_.retireUpTo(di.br->obqId, di.seq);
 }
 
 double
@@ -144,7 +144,7 @@ void
 BackwardWalkScheme::atMispredict(DynInst &di, Cycle now)
 {
     RepairScheme::atMispredict(di, now);
-    if (di.br.obqId == invalidId) {
+    if (di.br->obqId == invalidId) {
         ++stats_.uncheckpointedMispredicts;
         return;
     }
@@ -154,7 +154,7 @@ BackwardWalkScheme::atMispredict(DynInst &di, Cycle now)
     // write (the oldest instance's pre-state) is the correct one.
     unsigned walked = 0;
     unsigned writes = 0;
-    const std::uint64_t begin = std::max(di.br.obqId, obq_.head());
+    const std::uint64_t begin = std::max(di.br->obqId, obq_.head());
     for (std::uint64_t id = obq_.tail(); id-- > begin;) {
         const Obq::Entry &e = obq_.at(id);
         lp_->writeState(e.pc, e.preState);
@@ -164,7 +164,7 @@ BackwardWalkScheme::atMispredict(DynInst &di, Cycle now)
 
     // Step 7 (section 2.4): fold in the branch's own resolution; only
     // possible when this branch's pre-state was actually checkpointed.
-    if (di.br.checkpointed) {
+    if (di.br->checkpointed) {
         bool present = false;
         const LocalState st = lp_->readState(di.pc, &present);
         if (present) {
@@ -217,7 +217,7 @@ void
 ForwardWalkScheme::atMispredict(DynInst &di, Cycle now)
 {
     RepairScheme::atMispredict(di, now);
-    if (di.br.obqId == invalidId) {
+    if (di.br->obqId == invalidId) {
         ++stats_.uncheckpointedMispredicts;
         return;
     }
@@ -230,19 +230,19 @@ ForwardWalkScheme::atMispredict(DynInst &di, Cycle now)
     unsigned walked = 0;
     unsigned writes = 0;
 
-    std::uint64_t begin = std::max(di.br.obqId, obq_.head());
-    if (di.br.checkpointed && di.br.mergedEntry) {
+    std::uint64_t begin = std::max(di.br->obqId, obq_.head());
+    if (di.br->checkpointed && di.br->mergedEntry) {
         // This branch shares a coalesced entry: repair its PC from the
         // state carried with the instruction (section 3.1), then walk
         // the strictly-younger entries.
         if (lp_->testClearRepairBit(di.pc)) {
             lp_->writeState(di.pc, lp_->advanceState(
-                                       di.br.local.preState,
+                                       di.br->local.preState,
                                        di.actualDir));
             ++writes;
             pendingRepair_[di.pc] = start + ceilDiv(writes, tput);
         }
-        begin = di.br.obqId + 1;
+        begin = di.br->obqId + 1;
     }
 
     for (std::uint64_t id = begin; id < obq_.tail(); ++id) {
@@ -253,7 +253,7 @@ ForwardWalkScheme::atMispredict(DynInst &di, Cycle now)
         if (!lp_->testClearRepairBit(e.pc))
             continue;
         LocalState st = e.preState;
-        if (di.br.checkpointed && id == di.br.obqId && e.pc == di.pc)
+        if (di.br->checkpointed && id == di.br->obqId && e.pc == di.pc)
             st = lp_->advanceState(st, di.actualDir);
         lp_->writeState(e.pc, st);
         ++writes;
@@ -296,21 +296,21 @@ SnapshotScheme::checkpoint(DynInst &di, Cycle)
     Snap &s = ring_[tail_ % ring_.size()];
     s.seq = di.seq;
     s.data = lp_->snapshotBht();
-    di.br.snapId = tail_++;
-    di.br.checkpointed = true;
+    di.br->snapId = tail_++;
+    di.br->checkpointed = true;
 }
 
 void
 SnapshotScheme::atMispredict(DynInst &di, Cycle now)
 {
     RepairScheme::atMispredict(di, now);
-    if (!di.br.checkpointed || di.br.snapId < head_ ||
-        di.br.snapId >= tail_) {
+    if (!di.br->checkpointed || di.br->snapId < head_ ||
+        di.br->snapId >= tail_) {
         ++stats_.uncheckpointedMispredicts;
         return;
     }
 
-    lp_->restoreBht(ring_[di.br.snapId % ring_.size()].data);
+    lp_->restoreBht(ring_[di.br->snapId % ring_.size()].data);
     bool present = false;
     const LocalState st = lp_->readState(di.pc, &present);
     if (present)
@@ -407,7 +407,7 @@ LimitedPcScheme::checkpoint(DynInst &di, Cycle)
     };
 
     // 1. The branch always repairs itself.
-    add(di.pc, di.br.local.preState);
+    add(di.pc, di.br->local.preState);
 
     // 2. Alternate the paper's two criteria — recency of BHT updates
     //    and utility (recent correct overriders) — so even M=2 covers
@@ -433,8 +433,8 @@ LimitedPcScheme::checkpoint(DynInst &di, Cycle)
         }
     }
 
-    di.br.limitedSlot = di.seq;
-    di.br.checkpointed = true;
+    di.br->limitedSlot = di.seq;
+    di.br->checkpointed = true;
 
     noteRecentUpdate(di.pc);
 }
@@ -446,7 +446,7 @@ LimitedPcScheme::atMispredict(DynInst &di, Cycle now)
     lastRepairSet_.clear();
     const Payload &p =
         payloadRing_[di.seq & (payloadRing_.size() - 1)];
-    if (!di.br.checkpointed || p.seq != di.seq) {
+    if (!di.br->checkpointed || p.seq != di.seq) {
         ++stats_.uncheckpointedMispredicts;
         return;
     }
@@ -491,7 +491,7 @@ void
 LimitedPcScheme::atRetire(DynInst &di)
 {
     RepairScheme::atRetire(di);
-    if (di.br.usedLoop && di.br.loopDir == di.actualDir) {
+    if (di.br->usedLoop && di.br->loopDir == di.actualDir) {
         auto it =
             std::find(overrideLru_.begin(), overrideLru_.end(), di.pc);
         if (it != overrideLru_.end())
@@ -525,7 +525,7 @@ RepairScheme::PredictOutcome
 FutureFileScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
 {
     (void)now;
-    BranchRec &br = di.br;
+    BranchRec &br = *di.br;
     br.tageDir = tage_dir;
 
     // Associative search of the youngest ffWindow entries for this PC;
@@ -571,15 +571,15 @@ void
 FutureFileScheme::atMispredict(DynInst &di, Cycle now)
 {
     RepairScheme::atMispredict(di, now);
-    if (!di.br.checkpointed || di.br.obqId < head_) {
+    if (!di.br->checkpointed || di.br->obqId < head_) {
         ++stats_.uncheckpointedMispredicts;
         return;
     }
     // O(1) repair: drop everything younger and rewrite this branch's
     // own entry with its resolved outcome.
-    tail_ = di.br.obqId + 1;
-    Entry &e = slot(di.br.obqId);
-    e.state = lp_->advanceState(di.br.local.preState, di.actualDir);
+    tail_ = di.br->obqId + 1;
+    Entry &e = slot(di.br->obqId);
+    e.state = lp_->advanceState(di.br->local.preState, di.actualDir);
     stats_.repairWrites += 1;
     stats_.writesPerRepair.sample(1);
     stats_.repairCycles.sample(0);
@@ -627,7 +627,7 @@ MultiStageScheme::MultiStageScheme(std::unique_ptr<LocalPredictor> lp,
 RepairScheme::PredictOutcome
 MultiStageScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
 {
-    BranchRec &br = di.br;
+    BranchRec &br = *di.br;
     br.tageDir = tage_dir;
 
     const bool usable = !tageBusy(now);
@@ -657,7 +657,7 @@ RepairScheme::AllocOutcome
 MultiStageScheme::atAlloc(DynInst &di, Cycle now)
 {
     AllocOutcome out;
-    BranchRec &br = di.br;
+    BranchRec &br = *di.br;
 
     if (deferBusy(now)) {
         // Rare: the instruction reached BHT-Defer mid-repair — no
@@ -714,7 +714,7 @@ void
 MultiStageScheme::atMispredict(DynInst &di, Cycle now)
 {
     RepairScheme::atMispredict(di, now);
-    if (di.br.obqId == invalidId) {
+    if (di.br->obqId == invalidId) {
         ++stats_.uncheckpointedMispredicts;
         return;
     }
@@ -729,16 +729,16 @@ MultiStageScheme::atMispredict(DynInst &di, Cycle now)
     unsigned writes = 0;
     std::vector<Addr> repaired;
 
-    std::uint64_t begin = std::max(di.br.obqId, obq_.head());
-    if (di.br.checkpointed && di.br.mergedEntry) {
+    std::uint64_t begin = std::max(di.br->obqId, obq_.head());
+    if (di.br->checkpointed && di.br->mergedEntry) {
         if (lp_->testClearRepairBit(di.pc)) {
             lp_->writeState(di.pc,
-                            lp_->advanceState(di.br.local.preState,
+                            lp_->advanceState(di.br->local.preState,
                                               di.actualDir));
             ++writes;
             repaired.push_back(di.pc);
         }
-        begin = di.br.obqId + 1;
+        begin = di.br->obqId + 1;
     }
     for (std::uint64_t id = begin; id < obq_.tail(); ++id) {
         ++walked;
@@ -746,7 +746,7 @@ MultiStageScheme::atMispredict(DynInst &di, Cycle now)
         if (!lp_->testClearRepairBit(e.pc))
             continue;
         LocalState st = e.preState;
-        if (di.br.checkpointed && id == di.br.obqId && e.pc == di.pc)
+        if (di.br->checkpointed && id == di.br->obqId && e.pc == di.pc)
             st = lp_->advanceState(st, di.actualDir);
         lp_->writeState(e.pc, st);
         ++writes;
@@ -777,7 +777,7 @@ MultiStageScheme::atMispredict(DynInst &di, Cycle now)
 void
 MultiStageScheme::atSquash(InstSeq kept_seq, const DynInst &cause)
 {
-    obq_.squashYoungerThan(kept_seq, cause.pc, cause.br.local.preState);
+    obq_.squashYoungerThan(kept_seq, cause.pc, cause.br->local.preState);
 }
 
 void
@@ -787,7 +787,7 @@ MultiStageScheme::atRetire(DynInst &di)
     if (!sharedPt_)
         bhtTage_->retireTrain(di.pc, di.actualDir);
 
-    BranchRec &br = di.br;
+    BranchRec &br = *di.br;
     if (br.local.predictable) {
         lp_->predictionFeedback(di.pc, br.loopDir, di.actualDir);
         if (!sharedPt_)

@@ -81,11 +81,11 @@ SpecStateAuditor::onPredict(const DynInst &di)
     SpecRec rec;
     rec.seq = di.seq;
     rec.pc = di.pc;
-    rec.pre = di.br.local.preState;
-    rec.bhtHit = di.br.local.bhtHit;
-    rec.specUpdated = di.br.specUpdated;
-    rec.checkpointed = di.br.checkpointed;
-    rec.dir = di.br.finalPred;
+    rec.pre = di.br->local.preState;
+    rec.bhtHit = di.br->local.bhtHit;
+    rec.specUpdated = di.br->specUpdated;
+    rec.checkpointed = di.br->checkpointed;
+    rec.dir = di.br->finalPred;
     inflight_.push_back(rec);
 }
 
@@ -154,7 +154,7 @@ SpecStateAuditor::onRecovery(const DynInst &cause,
                 continue;
             }
             LocalState expect = rec.pre;
-            if (rec.seq == cause.seq && cause.br.checkpointed)
+            if (rec.seq == cause.seq && cause.br->checkpointed)
                 expect = model_.advanceState(expect, cause.actualDir);
             bool present = false;
             const LocalState got = live.readState(rec.pc, &present);
@@ -178,7 +178,7 @@ SpecStateAuditor::onRecovery(const DynInst &cause,
     while (!inflight_.empty() && inflight_.back().seq > cause.seq)
         inflight_.pop_back();
     if (!inflight_.empty() && inflight_.back().seq == cause.seq &&
-        covered && cause.br.checkpointed) {
+        covered && cause.br->checkpointed) {
         inflight_.back().dir = cause.actualDir;
     }
 }

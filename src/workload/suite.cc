@@ -427,14 +427,19 @@ buildWorkload(const CategoryProfile &profile, unsigned index,
     return builder.build(std::move(segs));
 }
 
-std::vector<Program>
-buildSuite(const SuiteOptions &opts, unsigned jobs)
+namespace {
+
+/** One workload of the suite: a category profile and its index. */
+struct Slot
 {
-    struct Slot
-    {
-        const CategoryProfile *profile;
-        unsigned index;
-    };
+    const CategoryProfile *profile;
+    unsigned index;
+};
+
+/** The workloads @p opts selects, in category order. */
+std::vector<Slot>
+suiteSlots(const SuiteOptions &opts)
+{
     const auto &profiles = categoryProfiles();
     unsigned total = 0;
     for (const auto &prof : profiles)
@@ -477,6 +482,21 @@ buildSuite(const SuiteOptions &opts, unsigned jobs)
     for (std::size_t c = 0; c < profiles.size(); ++c)
         for (unsigned i = 0; i < quota[c]; ++i)
             slots.push_back({&profiles[c], i});
+    return slots;
+}
+
+} // namespace
+
+std::size_t
+suiteSize(const SuiteOptions &opts)
+{
+    return suiteSlots(opts).size();
+}
+
+std::vector<Program>
+buildSuite(const SuiteOptions &opts, unsigned jobs)
+{
+    const std::vector<Slot> slots = suiteSlots(opts);
 
     // buildWorkload is a pure function of (profile, index, seed) and
     // each slot writes only its own element, so the suite is identical

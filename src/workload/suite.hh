@@ -16,6 +16,7 @@
 #ifndef LBP_WORKLOAD_SUITE_HH
 #define LBP_WORKLOAD_SUITE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -73,6 +74,9 @@ struct SuiteOptions
 /** Build one workload of a category. */
 Program buildWorkload(const CategoryProfile &profile, unsigned index,
                       std::uint64_t suite_seed);
+
+/** How many workloads buildSuite(@p opts) builds, without building. */
+std::size_t suiteSize(const SuiteOptions &opts = {});
 
 /**
  * Build the full (or capped) suite, in category order. The workloads

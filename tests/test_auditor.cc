@@ -68,6 +68,7 @@ class AuditDriver
     {
         insts_.emplace_back();
         DynInst &di = insts_.back();
+        di.br = &recs_.emplace_back();
         di.seq = seq_++;
         di.pc = pc;
         di.cls = InstClass::CondBranch;
@@ -110,6 +111,7 @@ class AuditDriver
     std::unique_ptr<RepairScheme> scheme_;
     SpecStateAuditor auditor_;
     std::deque<DynInst> insts_;
+    std::deque<BranchRec> recs_;  ///< stands in for the core's pool
     InstSeq seq_ = 0;
     Cycle now_ = 100;
 };

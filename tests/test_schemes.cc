@@ -36,6 +36,7 @@ class Driver
     {
         insts_.emplace_back();
         DynInst &di = insts_.back();
+        di.br = &recs_.emplace_back();
         di.seq = seq_++;
         di.pc = pc;
         di.cls = InstClass::CondBranch;
@@ -71,6 +72,7 @@ class Driver
   private:
     std::unique_ptr<RepairScheme> scheme_;
     std::deque<DynInst> insts_;
+    std::deque<BranchRec> recs_;  ///< stands in for the core's pool
     InstSeq seq_ = 0;
     Cycle now_ = 100;
 };
@@ -173,7 +175,7 @@ TEST(ForwardWalk, UncheckpointedMispredictIsUnrecovered)
     DynInst &c2 = d.predict(pcC, true, false);
     (void)c;
     // c2 hits the BHT but the OBQ is full: no id at all.
-    EXPECT_EQ(c2.br.obqId, invalidId);
+    EXPECT_EQ(c2.br->obqId, invalidId);
     d.mispredict(c2);
     EXPECT_GE(d.scheme().stats().uncheckpointedMispredicts, 1u);
 }
@@ -186,7 +188,7 @@ TEST(ForwardWalk, CoalescedSelfRepairUsesCarriedState)
     d.predict(pcA, true, true);            // entry #1 (pre {1,T})
     d.predict(pcA, true, true);            // entry #2 (pre {2,T})
     DynInst &m = d.predict(pcA, true, false);  // merged into #2
-    EXPECT_TRUE(m.br.mergedEntry);
+    EXPECT_TRUE(m.br->mergedEntry);
     d.predict(pcA, true, true, true);      // wrong path merges again
     d.mispredict(m);
     // Self-repair from m's carried pre-state {3,T} + actual N.
@@ -439,7 +441,7 @@ TEST(FutureFile, ReadsSpeculativeStateFromQueue)
     d.predict(pcA, true, true);
     d.predict(pcA, true, true);
     DynInst &a3 = d.predict(pcA, true, true);
-    EXPECT_EQ(a3.br.local.preState, LoopState::make(2, true))
+    EXPECT_EQ(a3.br->local.preState, LoopState::make(2, true))
         << "third instance must see the two queued updates";
     bool present = true;
     d.state(pcA, &present);
@@ -456,7 +458,7 @@ TEST(FutureFile, MispredictIsTailRevert)
     d.mispredict(b);
     // Next A instance must see the pre-pollution count.
     DynInst &a = d.predict(pcA, true, true);
-    EXPECT_EQ(a.br.local.preState, LoopState::make(1, true));
+    EXPECT_EQ(a.br->local.preState, LoopState::make(1, true));
     EXPECT_EQ(d.scheme().stats().repairCycles.max(), 0u)
         << "future-file repair is O(1)";
 }
@@ -472,7 +474,7 @@ TEST(FutureFile, WindowLimitsVisibility)
     // A's entry is now 3 deep: beyond the 2-entry associative window,
     // and not yet retired into the BHT.
     DynInst &a = d.predict(pcA, true, true);
-    EXPECT_FALSE(a.br.local.bhtHit)
+    EXPECT_FALSE(a.br->local.bhtHit)
         << "state deeper than the search window reads as unknown";
 }
 
@@ -506,8 +508,8 @@ msCycle(Driver &d, MultiStageScheme &ms, Addr pc, bool tage_dir,
     DynInst &di = d.predict(pc, tage_dir, actual);
     const auto out = ms.atAlloc(di, d.now());
     if (out.resteer)
-        di.br.finalPred = out.dir;
-    if (di.br.finalPred != actual)
+        di.br->finalPred = out.dir;
+    if (di.br->finalPred != actual)
         d.mispredict(di);
     ms.atRetire(di);
     d.advanceTime(4);
@@ -533,12 +535,12 @@ TEST(MultiStage, DeferOverrideRequestsResteer)
         msCycle(d, ms, pcA, true, true);
     ms.bhtTage().invalidateEntry(pcA);
     DynInst &exit_br = d.predict(pcA, /*tage*/ true, /*actual*/ false);
-    EXPECT_FALSE(exit_br.br.usedLoop)
+    EXPECT_FALSE(exit_br.br->usedLoop)
         << "fetch stage must have no override after invalidation";
     const auto out = ms.atAlloc(exit_br, d.now());
     EXPECT_TRUE(out.resteer) << "BHT-Defer must catch the exit";
     EXPECT_FALSE(out.dir);
-    EXPECT_TRUE(exit_br.br.earlyResteered);
+    EXPECT_TRUE(exit_br.br->earlyResteered);
     ms.atRetire(exit_br);
 }
 

@@ -330,6 +330,21 @@ TEST(Suite, SubsampleKeepsEveryCategory)
     EXPECT_EQ(cats.size(), 7u);
 }
 
+TEST(Suite, SizeMatchesBuiltSuite)
+{
+    // Below seven the cap rounds up to one workload per category; above
+    // 202 it is the full suite.
+    for (const unsigned cap : {0u, 1u, 8u, 21u, 201u, 202u, 500u}) {
+        SuiteOptions opts;
+        opts.maxWorkloads = cap;
+        EXPECT_EQ(suiteSize(opts), buildSuite(opts).size()) << cap;
+    }
+    SuiteOptions one;
+    one.maxWorkloads = 1;
+    EXPECT_EQ(suiteSize(one), 7u);
+    EXPECT_EQ(suiteSize(), 202u);
+}
+
 TEST(Suite, NamedWorkloadsExist)
 {
     SuiteOptions opts;

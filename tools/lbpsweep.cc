@@ -334,11 +334,11 @@ addConfigRow(TextTable &table, const std::string &name,
  * CLI flags and raw spec text ride in the submit frame so the server
  * resolves the request exactly as a local run would, and the summary,
  * CSV and manifest below come back byte-identical to local output.
+ * The server builds the suite; the client builds nothing.
  */
 int
 runServerMode(const Options &opt, const SweepSpec &spec,
-              const std::string &specText,
-              const std::vector<Program> &suite)
+              const std::string &specText)
 {
     if (!opt.portAnalysisPath.empty())
         die("--port-analysis runs locally; drop --server");
@@ -371,7 +371,7 @@ runServerMode(const Options &opt, const SweepSpec &spec,
 
     std::printf("sweeping %zu configs x %zu workloads (%llu warm-up + "
                 "%llu measured instrs each, server=%s)\n",
-                spec.configs.size(), suite.size(),
+                spec.configs.size(), suiteSize(specSuiteOptions(spec)),
                 static_cast<unsigned long long>(spec.warmupInstrs),
                 static_cast<unsigned long long>(spec.measureInstrs),
                 opt.server.c_str());
@@ -455,11 +455,11 @@ main(int argc, char **argv)
             die(err);
     }
     finalizeSweepSpec(spec);
+    if (!opt.server.empty())
+        return runServerMode(opt, spec, specText);
+
     const std::vector<Program> suite = buildSpecSuite(spec, opt.jobs);
     const std::vector<SweepConfig> &configs = spec.configs;
-
-    if (!opt.server.empty())
-        return runServerMode(opt, spec, specText, suite);
 
     std::printf("sweeping %zu configs x %zu workloads (%llu warm-up + "
                 "%llu measured instrs each, jobs=%u)\n",
