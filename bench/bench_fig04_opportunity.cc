@@ -77,14 +77,18 @@ measureOpportunity(const Program &prog, std::uint64_t instrs)
 int
 main()
 {
-    Context ctx = Context::make(
+    Figure fig(
         "Figure 4: MPKI opportunity of an ideal local predictor, and "
         "what no-repair retains");
+    const std::size_t no_repair_id =
+        fig.add("no-repair", fig.withScheme(RepairKind::NoRepair));
+    fig.run();
+    const SuiteResult &no_repair = fig.result(no_repair_id);
 
     // Table 1 census.
     {
         std::map<std::string, std::pair<unsigned, BranchCensus>> census;
-        for (const Program &p : ctx.suite) {
+        for (const Program &p : fig.suite()) {
             auto &[count, agg] = census[p.category];
             ++count;
             const BranchCensus c = p.census();
@@ -108,10 +112,6 @@ main()
         std::printf("%s\n", t.render().c_str());
     }
 
-    // No-repair pipeline run.
-    const SuiteResult &no_repair =
-        ctx.run(ctx.withScheme(RepairKind::NoRepair));
-
     struct Acc
     {
         Opportunity opp;
@@ -119,16 +119,16 @@ main()
         std::uint64_t nrMisp = 0, nrInstr = 0;
     };
     std::map<std::string, Acc> by_cat;
-    for (std::size_t i = 0; i < ctx.suite.size(); ++i) {
-        Acc &a = by_cat[ctx.suite[i].category];
+    for (std::size_t i = 0; i < fig.suite().size(); ++i) {
+        Acc &a = by_cat[fig.suite()[i].category];
         const Opportunity o = measureOpportunity(
-            ctx.suite[i],
-            ctx.env.warmupInstrs + ctx.env.measureInstrs);
+            fig.suite()[i],
+            fig.base().warmupInstrs + fig.base().measureInstrs);
         a.opp.instrs += o.instrs;
         a.opp.tageMisp += o.tageMisp;
         a.opp.localMisp += o.localMisp;
-        a.baseMisp += ctx.baseline.runs[i].stats.mispredicts;
-        a.baseInstr += ctx.baseline.runs[i].stats.retiredInstrs;
+        a.baseMisp += fig.baseline().runs[i].stats.mispredicts;
+        a.baseInstr += fig.baseline().runs[i].stats.retiredInstrs;
         a.nrMisp += no_repair.runs[i].stats.mispredicts;
         a.nrInstr += no_repair.runs[i].stats.retiredInstrs;
     }
@@ -167,5 +167,5 @@ main()
     std::printf("paper: ~44%% MPKI reduction opportunity across "
                 "workloads; with no repair almost all of it is lost, "
                 "and MM/BP actually lose performance.\n");
-    return reportThroughput(ctx);
+    return fig.finish();
 }

@@ -17,8 +17,7 @@ using namespace lbp::bench;
 int
 main()
 {
-    Context ctx = Context::make(
-        "Figure 7: CBPw-Loop potential with perfect repair");
+    Figure fig("Figure 7: CBPw-Loop potential with perfect repair");
 
     const struct
     {
@@ -30,12 +29,16 @@ main()
         {"CBPw-Loop256", LoopConfig::entries256()},
     };
 
-    const SuiteResult *results[3];
+    std::size_t ids[3];
     for (int i = 0; i < 3; ++i) {
-        SimConfig cfg = ctx.withScheme(RepairKind::Perfect);
+        SimConfig cfg = fig.withScheme(RepairKind::Perfect);
         cfg.repair.loop = sizes[i].loop;
-        results[i] = &ctx.run(cfg);
+        ids[i] = fig.add(sizes[i].name, cfg);
     }
+    fig.run();
+    const SuiteResult *results[3];
+    for (int i = 0; i < 3; ++i)
+        results[i] = &fig.result(ids[i]);
 
     // (a) + (b): per-category rows for each size.
     for (int i = 0; i < 3; ++i) {
@@ -43,7 +46,7 @@ main()
                     results[i]->runs.front().localKB);
         TextTable t({"Category", "MPKI redn (7a)", "IPC gain (7b)"});
         for (const CategoryAgg &c :
-             aggregateByCategory(ctx.baseline, *results[i])) {
+             aggregateByCategory(fig.baseline(), *results[i])) {
             t.addRow({c.name, fmtPercent(c.mpkiReductionPct / 100.0, 1),
                       fmtPercent(c.ipcGainPct / 100.0, 2)});
         }
@@ -53,7 +56,7 @@ main()
                 "3.6%% / 3.8%% / 3.95%% for Loop64/128/256.\n\n");
 
     // (c) S-curve for Loop128.
-    const auto curve = ipcSCurve(ctx.baseline, *results[1]);
+    const auto curve = ipcSCurve(fig.baseline(), *results[1]);
     std::printf("--- IPC S-curve, CBPw-Loop128 (7c) ---\n");
     const std::size_t n = curve.size();
     const std::size_t picks[] = {0,       n / 10,     n / 4, n / 2,
@@ -75,5 +78,5 @@ main()
     std::printf("paper: cloud-compression and tabletmark-email gain "
                 ">15%%; eembc-dither loses (BHT/PT thrash) and only "
                 "recovers at 256 entries.\n");
-    return reportThroughput(ctx);
+    return fig.finish();
 }

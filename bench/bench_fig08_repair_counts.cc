@@ -5,81 +5,26 @@
  * updated after the mispredicting branch), measured under perfect
  * repair with CBPw-Loop128 across the suite.
  *
- * `--port-analysis <csv>` additionally runs a forensics-enabled
- * forward-walk pass and writes the repair-port sensitivity table
- * (repairs needed vs available OBQ read / BHT write ports) the paper's
- * port-cost argument rests on — see docs/SWEEP.md.
+ * The repair-port sensitivity table behind the paper's port-cost
+ * argument comes from `lbpsweep --port-analysis` (docs/SWEEP.md).
  */
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 
 #include "bench/bench_common.hh"
 #include "common/stats.hh"
-#include "obs/port_analysis.hh"
 
 using namespace lbp;
 using namespace lbp::bench;
 
-namespace {
-
-/**
- * The --port-analysis pass: per-squash OBQ-walk and BHT-write work
- * from the forensics channel, aggregated over candidate port counts.
- * Runs outside the suite cache — observability is excluded from the
- * cache key, so cached results carry no forensics records.
- */
-void
-portAnalysisPass(const Context &ctx, const char *csv_path)
-{
-    SimConfig cfg = ctx.withScheme(RepairKind::ForwardWalk);
-    cfg.obs.forensics = true;
-    const SuiteResult res = ctx.runUncached(cfg);
-
-    std::vector<const ObsRun *> obs;
-    std::uint64_t records = 0;
-    for (const RunResult &r : res.runs) {
-        if (r.obs) {
-            obs.push_back(r.obs.get());
-            records += r.obs->squashes.size();
-        }
-    }
-    const auto rows = portAnalysis(obs, {1, 2, 4, 8});
-    std::ofstream out(csv_path);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", csv_path);
-        std::exit(1);
-    }
-    writePortAnalysisCsv(out, rows);
-    std::printf("\nrepair-port sensitivity (forward-walk, %llu squash "
-                "records):\n%s",
-                static_cast<unsigned long long>(records),
-                formatPortAnalysis(rows).c_str());
-    std::printf("wrote port-analysis CSV to %s\n", csv_path);
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+main()
 {
-    const char *port_csv = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--port-analysis") == 0 &&
-            i + 1 < argc) {
-            port_csv = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--port-analysis <csv>]\n", argv[0]);
-            return 1;
-        }
-    }
-
-    Context ctx = Context::make(
-        "Figure 8: BHT repairs required per misprediction");
-
-    const SuiteResult &res = ctx.perfect();
+    Figure fig("Figure 8: BHT repairs required per misprediction");
+    const std::size_t perfect =
+        fig.add("perfect", fig.withScheme(RepairKind::Perfect));
+    fig.run();
+    const SuiteResult &res = fig.result(perfect);
 
     std::vector<const RunResult *> sorted;
     for (const RunResult &r : res.runs)
@@ -114,8 +59,5 @@ main(int argc, char **argv)
                 sum_avg / n, (unsigned long long)global_max);
     std::printf("paper: average ~5 repairs per misprediction (up to "
                 "~16 for some workloads); worst case 61 writes.\n");
-
-    if (port_csv)
-        portAnalysisPass(ctx, port_csv);
-    return reportThroughput(ctx);
+    return fig.finish();
 }

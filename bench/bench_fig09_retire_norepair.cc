@@ -15,18 +15,21 @@ using namespace lbp::bench;
 int
 main()
 {
-    Context ctx = Context::make(
-        "Figure 9: update-at-retire and no-repair, per category");
+    Figure fig("Figure 9: update-at-retire and no-repair, per category");
+    const std::size_t perfect =
+        fig.add("perfect", fig.withScheme(RepairKind::Perfect));
+    const std::size_t retire =
+        fig.add("retire-update", fig.withScheme(RepairKind::RetireUpdate));
+    const std::size_t norep =
+        fig.add("no-repair", fig.withScheme(RepairKind::NoRepair));
+    fig.run();
 
-    const SuiteResult &perfect = ctx.perfect();
-    const SuiteResult &retire =
-        ctx.run(ctx.withScheme(RepairKind::RetireUpdate));
-    const SuiteResult &norep =
-        ctx.run(ctx.withScheme(RepairKind::NoRepair));
-
-    const auto agg_p = aggregateByCategory(ctx.baseline, perfect);
-    const auto agg_r = aggregateByCategory(ctx.baseline, retire);
-    const auto agg_n = aggregateByCategory(ctx.baseline, norep);
+    const auto agg_p = aggregateByCategory(fig.baseline(),
+                                           fig.result(perfect));
+    const auto agg_r = aggregateByCategory(fig.baseline(),
+                                           fig.result(retire));
+    const auto agg_n = aggregateByCategory(fig.baseline(),
+                                           fig.result(norep));
 
     TextTable t({"Category", "perfect IPC", "retire IPC", "no-repair IPC",
                  "retire %of perfect"});
@@ -43,5 +46,5 @@ main()
     std::printf("paper: update-at-retire retains ~41%% of perfect "
                 "gains; no repair retains none, with MM/BP losing "
                 "performance outright.\n");
-    return reportThroughput(ctx);
+    return fig.finish();
 }

@@ -15,41 +15,46 @@ using namespace lbp::bench;
 int
 main()
 {
-    Context ctx = Context::make(
-        "Figure 10: backward-walk HF and snapshot repair vs ports");
-
-    const SuiteResult &perfect = ctx.perfect();
-    const double perfect_ipc = ipcGainPct(ctx.baseline, perfect);
-    std::printf("perfect repair: %+0.2f%% IPC, %+0.1f%% MPKI\n\n",
-                perfect_ipc, mpkiReductionPct(ctx.baseline, perfect));
+    Figure fig("Figure 10: backward-walk HF and snapshot repair vs ports");
+    const std::size_t perfect =
+        fig.add("perfect", fig.withScheme(RepairKind::Perfect));
 
     const RepairPorts configs[] = {
         {64, 64, 64}, {16, 16, 16}, {32, 8, 8}, {32, 4, 4},
     };
-
-    TextTable t({"Scheme", "config M-N-P", "MPKI redn", "IPC gain",
-                 "% of perfect"});
+    struct Row
+    {
+        std::string scheme, ports;
+        std::size_t id;
+    };
+    std::vector<Row> rows;
     for (const RepairKind kind :
          {RepairKind::BackwardWalk, RepairKind::Snapshot}) {
         for (const RepairPorts &ports : configs) {
-            SimConfig cfg = ctx.withScheme(kind);
+            SimConfig cfg = fig.withScheme(kind);
             cfg.repair.ports = ports;
-            const SuiteResult &res = ctx.run(cfg);
-            const double ipc = ipcGainPct(ctx.baseline, res);
-            t.addRow({repairKindName(kind),
-                      std::to_string(ports.entries) + "-" +
-                          std::to_string(ports.readPorts) + "-" +
-                          std::to_string(ports.bhtWritePorts),
-                      fmtPercent(mpkiReductionPct(ctx.baseline, res) /
-                                     100.0, 1),
-                      fmtPercent(ipc / 100.0, 2),
-                      fmtPercent(retainedPct(ipc, perfect_ipc) / 100.0,
-                                 0)});
+            const std::string mnp = std::to_string(ports.entries) + "-" +
+                                    std::to_string(ports.readPorts) + "-" +
+                                    std::to_string(ports.bhtWritePorts);
+            rows.push_back({repairKindName(kind), mnp,
+                            fig.add(std::string(repairKindName(kind)) +
+                                        " " + mnp,
+                                    cfg)});
         }
     }
+    fig.run();
+
+    std::printf("perfect repair: %+0.2f%% IPC, %+0.1f%% MPKI\n\n",
+                ipcGainPct(fig.baseline(), fig.result(perfect)),
+                mpkiReductionPct(fig.baseline(), fig.result(perfect)));
+
+    TextTable t({"Scheme", "config M-N-P", "MPKI redn", "IPC gain",
+                 "% of perfect"});
+    for (const Row &row : rows)
+        t.addRow(fig.gainRow({row.scheme, row.ports}, row.id, perfect));
     std::printf("%s\n", t.render().c_str());
     std::printf("paper: with 64-64-64 both schemes retain most of the "
                 "gains; at realistic ports backward-walk holds ~50%% "
                 "while snapshot (32-8-8) drops well below 50%%.\n");
-    return reportThroughput(ctx);
+    return fig.finish();
 }

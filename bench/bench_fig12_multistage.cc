@@ -15,47 +15,46 @@ using namespace lbp::bench;
 int
 main()
 {
-    Context ctx =
-        Context::make("Figure 12: multi-stage prediction, split BHT");
+    Figure fig("Figure 12: multi-stage prediction, split BHT");
+    const std::size_t perfect =
+        fig.add("perfect", fig.withScheme(RepairKind::Perfect));
 
-    const SuiteResult &perfect = ctx.perfect();
-    const double perfect_ipc = ipcGainPct(ctx.baseline, perfect);
+    std::vector<std::pair<std::string, std::size_t>> rows;
+    const auto declare = [&](const char *label, const char *name,
+                             const SimConfig &cfg) {
+        rows.emplace_back(label, fig.add(name, cfg));
+    };
+    {
+        SimConfig cfg = fig.withScheme(RepairKind::ForwardWalk);
+        cfg.repair.ports = {32, 4, 2};
+        declare("forward-walk (128-entry BHT)", "forward-walk", cfg);
+    }
+    {
+        SimConfig cfg = fig.withScheme(RepairKind::MultiStage);
+        cfg.repair.ports = {32, 4, 4};
+        cfg.repair.msSplitPt = false;
+        declare("split BHT 64+64, shared PT", "split-bht-shared-pt", cfg);
+    }
+    {
+        SimConfig cfg = fig.withScheme(RepairKind::MultiStage);
+        cfg.repair.ports = {32, 4, 4};
+        cfg.repair.msSplitPt = true;
+        declare("split BHT 64+64, split PT", "split-bht-split-pt", cfg);
+    }
+    fig.run();
 
     TextTable t({"design", "MPKI redn", "IPC gain", "% of perfect",
                  "early resteers/Kmisp"});
-
-    const auto addRow = [&](const char *name, const SimConfig &cfg) {
-        const SuiteResult &res = ctx.run(cfg);
-        const double ipc = ipcGainPct(ctx.baseline, res);
+    for (const auto &[name, id] : rows) {
         std::uint64_t resteers = 0, misp = 0;
-        for (const RunResult &r : res.runs) {
+        for (const RunResult &r : fig.result(id).runs) {
             resteers += r.earlyResteers;
             misp += r.stats.mispredicts;
         }
-        t.addRow({name,
-                  fmtPercent(mpkiReductionPct(ctx.baseline, res) / 100.0,
-                             1),
-                  fmtPercent(ipc / 100.0, 2),
-                  fmtPercent(retainedPct(ipc, perfect_ipc) / 100.0, 0),
-                  fmtDouble(misp ? 1000.0 * resteers / misp : 0.0, 0)});
-    };
-
-    {
-        SimConfig cfg = ctx.withScheme(RepairKind::ForwardWalk);
-        cfg.repair.ports = {32, 4, 2};
-        addRow("forward-walk (128-entry BHT)", cfg);
-    }
-    {
-        SimConfig cfg = ctx.withScheme(RepairKind::MultiStage);
-        cfg.repair.ports = {32, 4, 4};
-        cfg.repair.msSplitPt = false;
-        addRow("split BHT 64+64, shared PT", cfg);
-    }
-    {
-        SimConfig cfg = ctx.withScheme(RepairKind::MultiStage);
-        cfg.repair.ports = {32, 4, 4};
-        cfg.repair.msSplitPt = true;
-        addRow("split BHT 64+64, split PT", cfg);
+        std::vector<std::string> cells = fig.gainRow({name}, id, perfect);
+        cells.push_back(
+            fmtDouble(misp ? 1000.0 * resteers / misp : 0.0, 0));
+        t.addRow(cells);
     }
 
     std::printf("%s\n", t.render().c_str());
@@ -63,5 +62,5 @@ main()
                 "(re-steer delay + 64-entry tables) but need no extra "
                 "BHT ports for repair; shared vs split PT is a minor "
                 "difference.\n");
-    return reportThroughput(ctx);
+    return fig.finish();
 }

@@ -15,39 +15,33 @@ using namespace lbp::bench;
 int
 main()
 {
-    Context ctx = Context::make("Figure 13: limited-PC repair");
+    Figure fig("Figure 13: limited-PC repair");
+    const std::size_t perfect =
+        fig.add("perfect", fig.withScheme(RepairKind::Perfect));
 
-    const SuiteResult &perfect = ctx.perfect();
-    const double perfect_ipc = ipcGainPct(ctx.baseline, perfect);
-
-    TextTable t({"config", "MPKI redn", "IPC gain", "% of perfect"});
+    std::vector<std::pair<std::string, std::size_t>> rows;
     for (const unsigned m : {2u, 4u, 8u, 16u}) {
-        SimConfig cfg = ctx.withScheme(RepairKind::LimitedPc);
+        SimConfig cfg = fig.withScheme(RepairKind::LimitedPc);
         cfg.repair.limitedM = m;
         cfg.repair.ports.bhtWritePorts = std::min(m, 4u);
-        const SuiteResult &res = ctx.run(cfg);
-        const double ipc = ipcGainPct(ctx.baseline, res);
-        t.addRow({std::to_string(m) + "PC repair",
-                  fmtPercent(mpkiReductionPct(ctx.baseline, res) / 100.0,
-                             1),
-                  fmtPercent(ipc / 100.0, 2),
-                  fmtPercent(retainedPct(ipc, perfect_ipc) / 100.0, 0)});
+        const std::string name = std::to_string(m) + "PC repair";
+        rows.emplace_back(name, fig.add(name, cfg));
     }
     {
-        SimConfig cfg = ctx.withScheme(RepairKind::LimitedPc);
+        SimConfig cfg = fig.withScheme(RepairKind::LimitedPc);
         cfg.repair.limitedM = 4;
         cfg.repair.limitedInvalidate = true;
-        const SuiteResult &res = ctx.run(cfg);
-        const double ipc = ipcGainPct(ctx.baseline, res);
-        t.addRow({"4PC + invalidate rest",
-                  fmtPercent(mpkiReductionPct(ctx.baseline, res) / 100.0,
-                             1),
-                  fmtPercent(ipc / 100.0, 2),
-                  fmtPercent(retainedPct(ipc, perfect_ipc) / 100.0, 0)});
+        rows.emplace_back("4PC + invalidate rest",
+                          fig.add("4PC + invalidate rest", cfg));
     }
+    fig.run();
+
+    TextTable t({"config", "MPKI redn", "IPC gain", "% of perfect"});
+    for (const auto &[name, id] : rows)
+        t.addRow(fig.gainRow({name}, id, perfect));
     std::printf("%s\n", t.render().c_str());
     std::printf("paper: 2PC retains 56%% and 4PC 61%% of perfect "
                 "gains; even 2PC beats port-limited backward walk "
                 "because the right PCs get repaired first.\n");
-    return reportThroughput(ctx);
+    return fig.finish();
 }

@@ -17,53 +17,23 @@ using namespace lbp::bench;
 int
 main()
 {
-    Context ctx = Context::make("Figure 14: sensitivity studies");
+    Figure fig("Figure 14: sensitivity studies");
 
     // ---- (A) iso-storage --------------------------------------------
-    std::printf("--- 14A: iso-storage comparison ---\n");
-    TextTable ta({"configuration", "storage KB", "IPC gain vs TAGE7"});
-    {
-        SimConfig big = ctx.base;
-        big.tage = TageConfig::kb9();
-        const SuiteResult &res = ctx.run(big);
-        ta.addRow({"TAGE scaled to ~9KB",
-                   fmtDouble(big.tage.storageKB(), 1),
-                   fmtPercent(ipcGainPct(ctx.baseline, res) / 100.0,
-                              2)});
-    }
-    {
-        SimConfig cfg = ctx.withScheme(RepairKind::ForwardWalk);
-        cfg.repair.ports = {32, 4, 2};
-        cfg.repair.coalesce = true;
-        const SuiteResult &res = ctx.run(cfg);
-        ta.addRow({"TAGE7.1 + Loop128 + fwd-walk",
-                   fmtDouble(cfg.tage.storageKB() +
-                                 res.runs.front().localKB +
-                                 res.runs.front().repairKB, 1),
-                   fmtPercent(ipcGainPct(ctx.baseline, res) / 100.0,
-                              2)});
-    }
-    {
-        const SuiteResult &res = ctx.perfect();
-        ta.addRow({"TAGE7.1 + Loop128 (perfect rep.)", "NA",
-                   fmtPercent(ipcGainPct(ctx.baseline, res) / 100.0,
-                              2)});
-    }
-    std::printf("%s\n", ta.render().c_str());
-    std::printf("paper: iso-storage TAGE(9KB) gains only ~1%%; "
-                "TAGE+Loop+fwd-walk gives ~3x more.\n\n");
+    SimConfig tage9 = fig.base();
+    tage9.tage = TageConfig::kb9();
+    const std::size_t tage9_id = fig.add("tage-9KB", tage9);
+    SimConfig fwd = fig.withScheme(RepairKind::ForwardWalk);
+    fwd.repair.ports = {32, 4, 2};
+    fwd.repair.coalesce = true;
+    const std::size_t fwd_id = fig.add("forward-walk+merge", fwd);
+    const std::size_t perfect_id =
+        fig.add("perfect", fig.withScheme(RepairKind::Perfect));
 
     // ---- (B) large 57KB TAGE ----------------------------------------
-    std::printf("--- 14B: CBPw-Loop on a 57KB TAGE ---\n");
-    SimConfig big_base = ctx.base;
+    SimConfig big_base = fig.base();
     big_base.tage = TageConfig::kb57();
-    const SuiteResult &base57 = ctx.run(big_base);
-    std::printf("TAGE57 baseline vs TAGE7: %+0.2f%% IPC, %+0.1f%% MPKI "
-                "redn\n",
-                ipcGainPct(ctx.baseline, base57),
-                mpkiReductionPct(ctx.baseline, base57));
-
-    TextTable tb({"scheme on TAGE57", "MPKI redn", "IPC gain"});
+    const std::size_t base57_id = fig.add("tage-57KB", big_base);
     const struct
     {
         const char *name;
@@ -77,6 +47,7 @@ main()
         {"split BHT", RepairKind::MultiStage, {32, 4, 4}, false},
         {"4PC limited", RepairKind::LimitedPc, {32, 4, 4}, false},
     };
+    std::vector<std::size_t> row_ids;
     for (const auto &row : rows) {
         SimConfig cfg = big_base;
         cfg.useLocal = true;
@@ -85,8 +56,47 @@ main()
         cfg.repair.coalesce = row.coalesce;
         if (row.kind == RepairKind::LimitedPc)
             cfg.repair.limitedM = 4;
-        const SuiteResult &res = ctx.run(cfg);
-        tb.addRow({row.name,
+        row_ids.push_back(
+            fig.add(std::string("tage-57KB ") + row.name, cfg));
+    }
+    fig.run();
+
+    std::printf("--- 14A: iso-storage comparison ---\n");
+    TextTable ta({"configuration", "storage KB", "IPC gain vs TAGE7"});
+    ta.addRow({"TAGE scaled to ~9KB", fmtDouble(tage9.tage.storageKB(), 1),
+               fmtPercent(ipcGainPct(fig.baseline(),
+                                     fig.result(tage9_id)) /
+                              100.0,
+                          2)});
+    {
+        const SuiteResult &res = fig.result(fwd_id);
+        ta.addRow({"TAGE7.1 + Loop128 + fwd-walk",
+                   fmtDouble(fwd.tage.storageKB() +
+                                 res.runs.front().localKB +
+                                 res.runs.front().repairKB, 1),
+                   fmtPercent(ipcGainPct(fig.baseline(), res) / 100.0,
+                              2)});
+    }
+    ta.addRow({"TAGE7.1 + Loop128 (perfect rep.)", "NA",
+               fmtPercent(ipcGainPct(fig.baseline(),
+                                     fig.result(perfect_id)) /
+                              100.0,
+                          2)});
+    std::printf("%s\n", ta.render().c_str());
+    std::printf("paper: iso-storage TAGE(9KB) gains only ~1%%; "
+                "TAGE+Loop+fwd-walk gives ~3x more.\n\n");
+
+    std::printf("--- 14B: CBPw-Loop on a 57KB TAGE ---\n");
+    const SuiteResult &base57 = fig.result(base57_id);
+    std::printf("TAGE57 baseline vs TAGE7: %+0.2f%% IPC, %+0.1f%% MPKI "
+                "redn\n",
+                ipcGainPct(fig.baseline(), base57),
+                mpkiReductionPct(fig.baseline(), base57));
+
+    TextTable tb({"scheme on TAGE57", "MPKI redn", "IPC gain"});
+    for (std::size_t i = 0; i < row_ids.size(); ++i) {
+        const SuiteResult &res = fig.result(row_ids[i]);
+        tb.addRow({rows[i].name,
                    fmtPercent(mpkiReductionPct(base57, res) / 100.0, 1),
                    fmtPercent(ipcGainPct(base57, res) / 100.0, 2)});
     }
@@ -94,5 +104,5 @@ main()
     std::printf("paper: even on a 57KB TAGE, CBPw-Loop with perfect "
                 "repair improves IPC by 2.7%%, and each repair "
                 "technique keeps most of its efficiency.\n");
-    return reportThroughput(ctx);
+    return fig.finish();
 }

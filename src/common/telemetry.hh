@@ -1,8 +1,8 @@
 /**
  * @file
  * Throughput telemetry for the experiment harness: a wall-clock
- * stopwatch, per-suite throughput records, and the table the benches
- * print from the records of the suites they ran.
+ * stopwatch and the per-suite throughput record runSuite() and
+ * runSweep() attach to every SuiteResult.
  *
  * This file (and telemetry.cc) is the only place in src/ allowed to
  * touch wall-clock time — tools/lbp_analyze.py's no-raw-time rule
@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -43,7 +42,8 @@ class Stopwatch
     std::chrono::steady_clock::time_point start_;
 };
 
-/** Throughput record for one suite execution (or memoization hit). */
+/** Throughput record for one suite execution (zero for a result
+ *  loaded from the result store). */
 struct SuiteTelemetry
 {
     std::string label;            ///< short configuration description
@@ -51,24 +51,12 @@ struct SuiteTelemetry
     std::uint64_t simInstrs = 0;  ///< true-path instructions simulated
     double wallSeconds = 0.0;
     unsigned jobs = 1;            ///< workers the suite actually used
-    bool memoHit = false;         ///< served from the suite cache
-    /** Busy seconds per worker (empty for serial / memoized runs). */
+    /** Busy seconds per worker (empty for serial / stored runs). */
     std::vector<double> workerBusySeconds;
 
     /** Millions of simulated instructions per wall-clock second. */
     double minstrPerSec() const;
-
-    /** Mean fraction of wall time the workers spent simulating. */
-    double avgWorkerUtilization() const;
 };
-
-/**
- * Print the per-suite throughput table (label, workloads, wall,
- * Minstr/s, jobs, worker utilisation; memo hits as one-word rows)
- * and its total line for @p records, in order.
- */
-void printThroughputSummary(std::FILE *out,
-                            const std::vector<SuiteTelemetry> &records);
 
 } // namespace lbp
 

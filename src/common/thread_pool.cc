@@ -1,9 +1,10 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 
+#include "common/count.hh"
 #include "common/telemetry.hh"
 
 namespace lbp {
@@ -11,13 +12,15 @@ namespace lbp {
 unsigned
 resolveJobs(unsigned requested)
 {
-    unsigned long jobs = requested;
+    std::uint64_t jobs = requested;
     if (!jobs)
-        if (const char *s = std::getenv("REPRO_JOBS"))
-            jobs = std::strtoul(s, nullptr, 10);
+        jobs = envCount("REPRO_JOBS", 0,
+                        std::numeric_limits<unsigned>::max());
     if (!jobs)
         jobs = std::thread::hardware_concurrency();
-    return jobs ? static_cast<unsigned>(std::min(jobs, 1024ul)) : 1;
+    return jobs ? static_cast<unsigned>(
+                      std::min<std::uint64_t>(jobs, 1024))
+                : 1;
 }
 
 ThreadPool::ThreadPool(unsigned workers)

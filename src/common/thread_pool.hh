@@ -40,7 +40,9 @@ namespace lbp {
 /**
  * Resolve a worker count: @p requested if non-zero, else the
  * REPRO_JOBS environment variable, else hardware concurrency
- * (minimum 1). Every source is capped at 1024 workers.
+ * (minimum 1). Every source is capped at 1024 workers. REPRO_JOBS is
+ * read strictly (envCount in common/count.hh): a value that is not a
+ * plain integer in [0, 4294967295] stops the process.
  */
 unsigned resolveJobs(unsigned requested);
 

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/set_assoc.hh"
 #include "common/types.hh"
@@ -22,7 +21,6 @@ namespace lbp {
 /** Geometry and timing of one cache level. */
 struct CacheConfig
 {
-    std::string name = "cache";
     unsigned sizeKB = 32;
     unsigned ways = 8;
     unsigned lineBytes = 64;
@@ -128,10 +126,10 @@ class Cache
 /** Table 2's three-level hierarchy plus DRAM. */
 struct MemoryHierarchyConfig
 {
-    CacheConfig l1i{"l1i", 32, 8, 64, 5, true};
-    CacheConfig l1d{"l1d", 32, 8, 64, 5, true};
-    CacheConfig l2{"l2", 256, 8, 64, 15, true};
-    CacheConfig llc{"llc", 8192, 16, 64, 40, true};
+    CacheConfig l1i{32, 8, 64, 5, true};     ///< L1 instruction cache
+    CacheConfig l1d{32, 8, 64, 5, true};     ///< L1 data cache
+    CacheConfig l2{256, 8, 64, 15, true};    ///< unified L2
+    CacheConfig llc{8192, 16, 64, 40, true}; ///< last-level cache
     unsigned memLatency = 220;  ///< DDR4-2133 round trip at 3.2 GHz
 };
 

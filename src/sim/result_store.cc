@@ -348,7 +348,6 @@ deserializeSuiteResult(std::string_view entry,
         return nullptr;
     res->telemetry.label = std::string(rest);
     // A loaded entry performed no simulation in this process.
-    res->telemetry.memoHit = true;
     res->telemetry.wallSeconds = 0.0;
     res->telemetry.simInstrs = 0;
 

@@ -2,13 +2,13 @@
  * @file
  * Persistent cross-process memoization of whole-suite simulations.
  *
- * SuiteCache (suite_cache.hh) memoizes within one process; every fresh
- * bench or CI invocation still re-simulates the TAGE baseline and the
- * perfect-repair reference from scratch. ResultStore extends the same
- * keying to disk: completed SuiteResults are serialized under
- * (build fingerprint, suiteKey, configKey), so a repeated invocation —
- * warm CI job, second figure bench, re-run sweep — loads results in
- * milliseconds and performs zero simulations.
+ * SuiteCache (suite_cache.hh) memoizes within one process. ResultStore
+ * extends the same keying to disk: runSweep() serializes every
+ * SuiteResult it simulates under (build fingerprint, suiteKey,
+ * configKey) and probes the store before simulating, so a repeated
+ * invocation — warm CI job, re-run lbpsweep, a figure bench whose
+ * configurations an earlier bench stored (REPRO_RESULT_STORE) — loads
+ * results in milliseconds and performs zero simulations.
  *
  * Staleness is handled by construction, not by trust: the fingerprint
  * embeds the SHA-256 of tests/golden_stats_fixture.hh (the committed
@@ -67,8 +67,8 @@ void serializeSuiteResult(std::ostream &os,
  * decimal digits that fit 64 bits, every float field a %a hex-float,
  * and every line must hold exactly its field count. Returns null on
  * any mismatch or parse error (the caller treats that as a stale
- * entry). The returned result's telemetry is marked as a store hit
- * (no wall time, no simulated instructions).
+ * entry). The returned result's telemetry records no wall time and
+ * no simulated instructions: loading it simulated nothing.
  */
 std::unique_ptr<SuiteResult>
 deserializeSuiteResult(std::string_view entry,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "common/logging.hh"
@@ -282,29 +281,6 @@ ipcSCurve(const SuiteResult &base, const SuiteResult &test)
                   return a.second < b.second;
               });
     return curve;
-}
-
-BenchEnv
-BenchEnv::fromEnvironment()
-{
-    BenchEnv env;
-    if (const char *s = std::getenv("REPRO_INSTR"))
-        env.measureInstrs = std::strtoull(s, nullptr, 10);
-    if (const char *s = std::getenv("REPRO_WARMUP"))
-        env.warmupInstrs = std::strtoull(s, nullptr, 10);
-    if (const char *s = std::getenv("REPRO_WORKLOADS"))
-        env.maxWorkloads = static_cast<unsigned>(
-            std::strtoul(s, nullptr, 10));
-    if (const char *s = std::getenv("REPRO_JOBS"))
-        env.jobs = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-    return env;
-}
-
-void
-BenchEnv::apply(SimConfig &cfg) const
-{
-    cfg.warmupInstrs = warmupInstrs;
-    cfg.measureInstrs = measureInstrs;
 }
 
 } // namespace lbp

@@ -135,20 +135,6 @@ double ipcGainPct(const SuiteResult &base, const SuiteResult &test);
 std::vector<std::pair<std::string, double>>
 ipcSCurve(const SuiteResult &base, const SuiteResult &test);
 
-/** Environment knobs shared by every bench (see DESIGN.md section 7). */
-struct BenchEnv
-{
-    std::uint64_t warmupInstrs = 40000;   ///< REPRO_WARMUP
-    std::uint64_t measureInstrs = 60000;  ///< REPRO_INSTR
-    unsigned maxWorkloads = 0;  ///< 0 = the full 202-workload suite
-    unsigned jobs = 0;          ///< REPRO_JOBS; 0 = hardware concurrency
-
-    /** Read REPRO_INSTR / REPRO_WARMUP / REPRO_WORKLOADS / REPRO_JOBS. */
-    static BenchEnv fromEnvironment();
-    /** Copy the instruction budgets into @p cfg. */
-    void apply(SimConfig &cfg) const;
-};
-
 } // namespace lbp
 
 #endif // LBP_SIM_RUNNER_HH

@@ -147,50 +147,12 @@ suiteKey(const std::vector<Program> &suite)
     return k;
 }
 
-std::string
-suiteCacheKey(const std::vector<Program> &suite, const SimConfig &cfg)
-{
-    return suiteKey(suite) + '\n' + configKey(cfg);
-}
-
-const SuiteResult &
-SuiteCache::run(const std::vector<Program> &suite, const SimConfig &cfg,
-                unsigned jobs)
-{
-    const std::string key = suiteCacheKey(suite, cfg);
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            ++stats_.hits;
-            return *it->second;
-        }
-    }
-
-    // Simulate outside the lock; callers are single-threaded at this
-    // level (the parallelism lives inside runSuite), so a duplicate
-    // concurrent miss is not a real scenario — but stay correct if it
-    // happens: first insert wins.
-    auto result = std::make_unique<SuiteResult>(runSuite(suite, cfg,
-                                                         jobs));
-    std::lock_guard<std::mutex> lk(mu_);
-    auto [it, inserted] = map_.emplace(key, std::move(result));
-    if (inserted)
-        ++stats_.misses;
-    else
-        ++stats_.hits;
-    return *it->second;
-}
-
 const SuiteResult *
 SuiteCache::find(const std::string &key)
 {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = map_.find(key);
-    if (it == map_.end())
-        return nullptr;
-    ++stats_.hits;
-    return it->second.get();
+    return it == map_.end() ? nullptr : it->second.get();
 }
 
 const SuiteResult &
@@ -203,13 +165,6 @@ SuiteCache::insert(const std::string &key, SuiteResult res)
     return *it->second;
 }
 
-SuiteCache::CacheStats
-SuiteCache::stats() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
-}
-
 std::size_t
 SuiteCache::entries() const
 {
@@ -217,26 +172,11 @@ SuiteCache::entries() const
     return map_.size();
 }
 
-void
-SuiteCache::clear()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    map_.clear();
-    stats_ = CacheStats{};
-}
-
 SuiteCache &
 SuiteCache::process()
 {
     static SuiteCache cache;
     return cache;
-}
-
-const SuiteResult &
-runSuiteCached(const std::vector<Program> &suite, const SimConfig &cfg,
-               unsigned jobs)
-{
-    return SuiteCache::process().run(suite, cfg, jobs);
 }
 
 } // namespace lbp

@@ -2,13 +2,14 @@
  * @file
  * Config-keyed memoization of whole-suite simulations.
  *
- * Every figure bench replays the same TAGE-only baseline and
- * perfect-repair suites; a sensitivity sweep revisits configurations
- * it has already simulated. Since runs are bit-deterministic functions
- * of (suite, SimConfig), identical inputs can share one simulation.
- * SuiteCache keys completed SuiteResults by a canonical serialization
- * of the configuration plus a structural fingerprint of the suite, so
- * each distinct configuration is simulated at most once per process.
+ * Runs are bit-deterministic functions of (suite, SimConfig), so
+ * identical inputs can share one simulation. SuiteCache keys completed
+ * SuiteResults by a canonical serialization of the configuration plus
+ * a structural fingerprint of the suite. It is the in-process half of
+ * runSweep()'s memoization (sim/sweep.hh): a sweep probes the cache,
+ * then the persistent ResultStore, and simulates only what neither
+ * holds. Each figure bench owns a fresh cache; lbpserved keeps the
+ * process-wide one resident across requests.
  *
  * Cached entries are heap-stable (unique_ptr), so the references
  * handed out stay valid for the cache's lifetime.
@@ -17,7 +18,6 @@
 #ifndef LBP_SIM_SUITE_CACHE_HH
 #define LBP_SIM_SUITE_CACHE_HH
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,64 +38,33 @@ std::string configKey(const SimConfig &cfg);
 /** Structural fingerprint of a built suite (names + CFG shape). */
 std::string suiteKey(const std::vector<Program> &suite);
 
-/**
- * Combined cache key, suiteKey + '\n' + configKey — the exact key
- * SuiteCache uses internally, exposed so the sweep orchestrator and
- * the result store can address entries without re-deriving the format.
- */
-std::string suiteCacheKey(const std::vector<Program> &suite,
-                          const SimConfig &cfg);
-
 class SuiteCache
 {
   public:
-    struct CacheStats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-    };
-
     /**
-     * Return the memoized result for (suite, cfg), simulating it via
-     * runSuite(suite, cfg, jobs) on the first request. The reference
-     * is stable until clear().
-     */
-    const SuiteResult &run(const std::vector<Program> &suite,
-                           const SimConfig &cfg, unsigned jobs = 0);
-
-    /**
-     * Look up a precomputed key (suiteCacheKey) without simulating on
-     * miss. Counts a hit when found; a miss is NOT counted (the caller
-     * decides what a failed probe means).
-     * Null on miss; otherwise stable until clear().
+     * Look up @p key (suiteKey + '\n' + configKey). Null on miss;
+     * otherwise stable for the cache's lifetime.
      */
     const SuiteResult *find(const std::string &key);
 
     /**
-     * Insert an externally produced result (e.g. loaded from the
-     * persistent store) under @p key. First insert wins; the returned
-     * reference is the canonical entry either way, stable until
-     * clear(). Does not touch hit/miss counters.
+     * Insert an externally produced result (simulated by a sweep or
+     * loaded from the persistent store) under @p key. First insert
+     * wins; the returned reference is the canonical entry either way,
+     * stable for the cache's lifetime.
      */
     const SuiteResult &insert(const std::string &key, SuiteResult res);
 
-    CacheStats stats() const;
     std::size_t entries() const;
-    void clear();
 
-    /** The process-wide cache the benches share. */
+    /** The process-wide cache lbpserved keeps resident; the default of
+     *  a null SweepOptions::cache. */
     static SuiteCache &process();
 
   private:
     mutable std::mutex mu_;
     std::unordered_map<std::string, std::unique_ptr<SuiteResult>> map_;
-    CacheStats stats_;
 };
-
-/** Shorthand for SuiteCache::process().run(...). */
-const SuiteResult &runSuiteCached(const std::vector<Program> &suite,
-                                  const SimConfig &cfg,
-                                  unsigned jobs = 0);
 
 } // namespace lbp
 

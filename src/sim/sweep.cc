@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <ostream>
+#include <utility>
 
 #include "common/jsonl.hh"
 #include "common/thread_pool.hh"
@@ -187,15 +189,25 @@ runSweep(const std::vector<Program> &suite,
 
     // Phase 1 (serial): probe the cache, then the store, per config.
     // Store loads enter the cache so the cache owns every result the
-    // sweep hands out, whatever its origin.
+    // sweep hands out, whatever its origin. A config whose key an
+    // earlier config of this sweep left pending is a cache hit on that
+    // config's result (phase 3), so nothing is simulated or stored
+    // twice.
     std::vector<std::size_t> pending;
+    std::map<std::string, std::size_t> pendingByKey;
+    std::vector<std::pair<std::size_t, std::size_t>> repeats;
     std::size_t done = 0;
     for (std::size_t c = 0; c < nc; ++c) {
         out.configKeys[c] = configKey(configs[c].cfg);
         const std::string key = out.suiteKey + '\n' + out.configKeys[c];
 
         SweepCell::Outcome outcome = SweepCell::Outcome::Simulated;
-        if (const SuiteResult *hit = cache.find(key)) {
+        if (const auto first = pendingByKey.find(out.configKeys[c]);
+            first != pendingByKey.end()) {
+            repeats.emplace_back(c, first->second);
+            outcome = SweepCell::Outcome::CacheHit;
+            out.stats.cellsCacheHit += nw;
+        } else if (const SuiteResult *hit = cache.find(key)) {
             out.configResults[c] = hit;
             outcome = SweepCell::Outcome::CacheHit;
             out.stats.cellsCacheHit += nw;
@@ -209,6 +221,7 @@ runSweep(const std::vector<Program> &suite,
             }
         }
         if (outcome == SweepCell::Outcome::Simulated) {
+            pendingByKey.emplace(out.configKeys[c], c);
             pending.push_back(c);
             continue;
         }
@@ -315,6 +328,8 @@ runSweep(const std::vector<Program> &suite,
                             out.configKeys[c],
                             SweepCell::Outcome::Simulated, wall);
     }
+    for (const auto &[c, first] : repeats)
+        out.configResults[c] = out.configResults[first];
 
     if (opts.store) {
         const ResultStore::StoreStats after = opts.store->stats();
@@ -353,6 +368,33 @@ runSweep(const std::vector<Program> &suite,
                        << ",\"wall_s\":" << num(s.wallSeconds) << "}\n";
     }
     return out;
+}
+
+void
+printSweepSummary(std::FILE *out, const SweepStats &s,
+                  const ResultStore *store)
+{
+    std::fprintf(out,
+                 "cells: %llu total = %llu simulated + %llu store hits "
+                 "+ %llu cache hits\n",
+                 static_cast<unsigned long long>(s.cellsTotal),
+                 static_cast<unsigned long long>(s.cellsSimulated),
+                 static_cast<unsigned long long>(s.cellsStoreHit),
+                 static_cast<unsigned long long>(s.cellsCacheHit));
+    if (store)
+        std::fprintf(out,
+                     "store: %llu hits, %llu misses (%llu stale), "
+                     "%llu writes -> %s\n",
+                     static_cast<unsigned long long>(s.storeHits),
+                     static_cast<unsigned long long>(s.storeMisses),
+                     static_cast<unsigned long long>(s.storeStale),
+                     static_cast<unsigned long long>(s.storeWrites),
+                     store->dir().c_str());
+    std::fprintf(out, "wall %.2fs (%.2f Minstr/s)\n", s.wallSeconds,
+                 s.wallSeconds > 0.0
+                     ? static_cast<double>(s.simInstrs) / 1e6 /
+                           s.wallSeconds
+                     : 0.0);
 }
 
 void

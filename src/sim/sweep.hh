@@ -4,11 +4,11 @@
  * cells as one observable work queue.
  *
  * Reproducing the paper means simulating ~10 configurations over the
- * same suite; done bench-by-bench that re-simulates shared baselines
- * and gives no visibility into progress or provenance. runSweep()
- * schedules every cell over one thread pool, probes the process-wide
- * SuiteCache and the persistent ResultStore before simulating, and
- * reports everything it did: per-cell outcome/wall-time/worker in a
+ * same suite; lbpsweep, lbpserved and every figure bench run them
+ * through runSweep(). It schedules every cell over one thread pool,
+ * simulates each distinct configuration once, probes the SuiteCache
+ * and the persistent ResultStore before simulating, and reports
+ * everything it did: per-cell outcome/wall-time/worker in a
  * JSON-lines event log, a live progress/ETA line, aggregate counters
  * (sweepMetrics() in obs/metrics.hh names them), and a final manifest
  * with git SHA + store fingerprint + per-cell provenance.
@@ -99,7 +99,7 @@ struct SweepOptions
     ResultStore *store = nullptr;
 
     /** Memoization cache; null = the process-wide SuiteCache. Tests
-     *  pass fresh instances to model cold processes. */
+     *  and the figure benches pass fresh instances (cold processes). */
     SuiteCache *cache = nullptr;
 
     /** JSON-lines event sink (one object per line); null = off. */
@@ -120,7 +120,7 @@ struct SweepOptions
 
 /**
  * Everything a sweep produced: canonical per-config results (owned by
- * the SuiteCache used, stable until its clear()), per-cell provenance
+ * the SuiteCache used, stable for its lifetime), per-cell provenance
  * in configs-major order, aggregate counters, and the cache keys that
  * addressed each config.
  */
@@ -157,7 +157,10 @@ struct SweepResult
  * Run every config of @p configs over @p suite as one cell queue.
  * Per config: probe the cache, then the store, and only simulate what
  * neither had; freshly simulated configs are persisted (when a store
- * is given) and inserted into the cache, which owns the results.
+ * is given) and inserted into the cache, which owns the results. A
+ * config whose configKey() an earlier config of @p configs already
+ * claimed shares that config's result and counts its cells as cache
+ * hits, so no config is simulated or stored twice in one sweep.
  * Bit-identical to per-config runSuite() calls for any jobs count.
  */
 SweepResult runSweep(const std::vector<Program> &suite,
@@ -190,6 +193,16 @@ SweepConfigSummary sweepConfigSummary(const SweepResult &res,
  */
 std::string renderSweepProgress(std::size_t done, std::size_t total,
                                 double elapsedSeconds);
+
+/**
+ * Print the summary lines of a finished local sweep: cells (total =
+ * simulated + store hits + cache hits), the store's hit/miss/write
+ * counts and directory when @p store is non-null, and the wall time
+ * with simulated Minstr/s. lbpsweep and the figure benches end with
+ * them.
+ */
+void printSweepSummary(std::FILE *out, const SweepStats &stats,
+                       const ResultStore *store);
 
 /**
  * Write the sweep manifest as JSON: schema tag, git SHA, store

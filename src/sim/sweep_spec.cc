@@ -10,21 +10,6 @@
 namespace lbp {
 
 bool
-parseSpecCount(std::string_view text, std::uint64_t &out,
-               std::uint64_t max)
-{
-    // from_chars into an unsigned type takes digits only: no sign, no
-    // leading space, no fraction or exponent.
-    const char *end = text.data() + text.size();
-    std::uint64_t v = 0;
-    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec != std::errc() || ptr != end || v > max)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
 parseSpecCount(double value, std::uint64_t &out, std::uint64_t max)
 {
     // 2^64: every finite double below it converts to uint64 exactly.

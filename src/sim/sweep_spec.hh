@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/count.hh"
 #include "sim/sweep.hh"
 #include "workload/suite.hh"
 
@@ -45,19 +46,9 @@ struct SweepSpec
 };
 
 /**
- * The one strict parser for `suite`, `warmup` and `instr` values (and
- * lbpsweep's --jobs), shared by spec text, the wire protocol's submit
- * fields and lbpsweep's flags. @p text must be a plain decimal integer
- * in [0, @p max]: no sign, fraction, exponent or trailing characters.
- * Returns false, leaving @p out untouched, for anything else.
- */
-bool parseSpecCount(std::string_view text, std::uint64_t &out,
-                    std::uint64_t max =
-                        std::numeric_limits<std::uint64_t>::max());
-
-/**
- * parseSpecCount() for a value that arrived as a JSON number: it must
- * be finite, integral and in [0, @p max].
+ * parseSpecCount() (common/count.hh, which parses the `suite`, `warmup`
+ * and `instr` directives) for a value that arrived as a JSON number:
+ * it must be finite, integral and in [0, @p max].
  */
 bool parseSpecCount(double value, std::uint64_t &out,
                     std::uint64_t max =

@@ -81,9 +81,12 @@ std::string
 LoopExitBehavior::describe() const
 {
     std::string s = dominantTaken_ ? "loop(T" : "fwd-exit(N";
-    for (const auto &c : choices_)
-        s += "," + std::to_string(c.period);
-    return s + ")";
+    for (const auto &c : choices_) {
+        s += ',';
+        s += std::to_string(c.period);
+    }
+    s += ')';
+    return s;
 }
 
 // ---------------------------------------------------------------------

@@ -66,8 +66,8 @@ struct SuiteOptions
 {
     std::uint64_t seed = 0x5CA1AB1Eull;
     /** Cap on total workloads (0 = full 202). Benches honour
-     *  REPRO_WORKLOADS via sim/env. Categories are subsampled
-     *  proportionally so every category stays represented. */
+     *  REPRO_WORKLOADS (bench/bench_common.hh). Categories are
+     *  subsampled proportionally so every category stays represented. */
     unsigned maxWorkloads = 0;
 };
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the common substrate: saturating counters, RNG,
- * set-associative table, statistics helpers, JSON number and string
- * output, and line reassembly over loopback TCP.
+ * set-associative table, statistics helpers, the environment count
+ * reader, JSON number and string output, and line reassembly over
+ * loopback TCP.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +12,14 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/count.hh"
 #include "common/jsonl.hh"
 #include "common/random.hh"
 #include "common/sat_counter.hh"
@@ -284,6 +287,33 @@ TEST(Stats, TextTableAlignsColumns)
     const std::string out = t.render();
     EXPECT_NE(out.find("a     bbbb"), std::string::npos);
     EXPECT_NE(out.find("xxxx  y"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// envCount: how the REPRO_* counts are read (a malformed value exits 1;
+// the cli.* ctest cases pin that message per tool)
+// ---------------------------------------------------------------------
+
+TEST(EnvCount, DefaultsWhenUnset)
+{
+    const char *var = "REPRO_WARMUP";
+    unsetenv(var);
+    EXPECT_EQ(envCount(var, 40000, 100000), 40000u);
+    ASSERT_EQ(setenv(var, "", 1), 0);
+    EXPECT_EQ(envCount(var, 40000, 100000), 40000u);
+    unsetenv(var);
+}
+
+TEST(EnvCount, ReadsOverrides)
+{
+    const char *var = "REPRO_WARMUP";
+    ASSERT_EQ(setenv(var, "12345", 1), 0);
+    EXPECT_EQ(envCount(var, 40000, 100000), 12345u);
+    ASSERT_EQ(setenv(var, "0", 1), 0);
+    EXPECT_EQ(envCount(var, 40000, 100000), 0u);
+    ASSERT_EQ(setenv(var, "100000", 1), 0);
+    EXPECT_EQ(envCount(var, 40000, 100000), 100000u);
+    unsetenv(var);
 }
 
 // ---------------------------------------------------------------------

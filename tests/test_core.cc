@@ -20,7 +20,7 @@ using namespace lbp;
 
 TEST(Cache, HitAndMissLatencies)
 {
-    CacheConfig cfg{"l1", 32, 8, 64, 5, false};
+    CacheConfig cfg{32, 8, 64, 5, false};
     Cache c(cfg, nullptr, 200);
     EXPECT_EQ(c.access(0x1000), 205u) << "cold miss pays memory";
     EXPECT_EQ(c.access(0x1000), 5u) << "hit pays only L1";
@@ -32,7 +32,7 @@ TEST(Cache, HitAndMissLatencies)
 
 TEST(Cache, StreamerPrefetchCoversStrides)
 {
-    CacheConfig cfg{"l1", 32, 8, 64, 5, true};
+    CacheConfig cfg{32, 8, 64, 5, true};
     Cache c(cfg, nullptr, 200);
     c.access(0x2000);
     // Sequential walk: every subsequent line was prefetched.

@@ -1,56 +1,18 @@
 /**
  * @file
- * Tests for the sim harness: environment knobs, run accounting, and
- * TAGE-configuration property sweeps through the full runner path.
+ * Tests for the sim harness: run accounting, config keying and
+ * memoization, and TAGE-configuration property sweeps through the full
+ * runner path.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "sim/runner.hh"
 #include "sim/suite_cache.hh"
+#include "sim/sweep.hh"
 #include "workload/suite.hh"
 
 using namespace lbp;
-
-TEST(BenchEnv, DefaultsWhenUnset)
-{
-    unsetenv("REPRO_INSTR");
-    unsetenv("REPRO_WARMUP");
-    unsetenv("REPRO_WORKLOADS");
-    unsetenv("REPRO_JOBS");
-    const BenchEnv env = BenchEnv::fromEnvironment();
-    EXPECT_EQ(env.measureInstrs, 60000u);
-    EXPECT_EQ(env.warmupInstrs, 40000u);
-    EXPECT_EQ(env.maxWorkloads, 0u);
-    EXPECT_EQ(env.jobs, 0u);
-}
-
-TEST(BenchEnv, ReadsOverrides)
-{
-    setenv("REPRO_INSTR", "12345", 1);
-    setenv("REPRO_WARMUP", "777", 1);
-    setenv("REPRO_WORKLOADS", "9", 1);
-    setenv("REPRO_JOBS", "3", 1);
-    const BenchEnv env = BenchEnv::fromEnvironment();
-    EXPECT_EQ(env.measureInstrs, 12345u);
-    EXPECT_EQ(env.warmupInstrs, 777u);
-    EXPECT_EQ(env.maxWorkloads, 9u);
-    EXPECT_EQ(env.jobs, 3u);
-    unsetenv("REPRO_INSTR");
-    unsetenv("REPRO_WARMUP");
-    unsetenv("REPRO_WORKLOADS");
-    unsetenv("REPRO_JOBS");
-
-    SimConfig cfg;
-    BenchEnv e2;
-    e2.warmupInstrs = 111;
-    e2.measureInstrs = 222;
-    e2.apply(cfg);
-    EXPECT_EQ(cfg.warmupInstrs, 111u);
-    EXPECT_EQ(cfg.measureInstrs, 222u);
-}
 
 TEST(Runner, RunOneFillsEveryField)
 {
@@ -133,10 +95,10 @@ SuiteResult
 syntheticSuite(double ipc)
 {
     SuiteResult s;
-    for (int i = 0; i < 3; ++i) {
+    for (const char *name : {"w0", "w1", "w2"}) {
         RunResult r;
-        r.workload = "w" + std::to_string(i);
-        r.category = i < 2 ? "A" : "B";
+        r.workload = std::string(name);
+        r.category = std::string(s.runs.size() < 2 ? "A" : "B");
         r.ipc = ipc;
         s.runs.push_back(r);
     }
@@ -176,16 +138,21 @@ TEST(SuiteCache, SecondRunIsAMemoHit)
     SimConfig cfg;
     cfg.warmupInstrs = 4000;
     cfg.measureInstrs = 8000;
+    const std::vector<SweepConfig> configs = {{"tage", cfg}};
 
     SuiteCache cache;
-    const SuiteResult &a = cache.run(suite, cfg, 1);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
+    SweepOptions sweep;
+    sweep.jobs = 1;
+    sweep.cache = &cache;
+    const SweepResult a = runSweep(suite, configs, sweep);
+    EXPECT_EQ(a.stats.cellsSimulated, suite.size());
+    EXPECT_EQ(a.stats.cellsCacheHit, 0u);
 
-    const SuiteResult &b = cache.run(suite, cfg, 1);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(&a, &b);  // the cache hands back the same entry
+    const SweepResult b = runSweep(suite, configs, sweep);
+    EXPECT_EQ(b.stats.cellsSimulated, 0u);
+    EXPECT_EQ(b.stats.cellsCacheHit, suite.size());
+    // the cache hands back the same entry
+    EXPECT_EQ(a.configResults[0], b.configResults[0]);
     EXPECT_EQ(cache.entries(), 1u);
 }
 
@@ -202,10 +169,14 @@ TEST(SuiteCache, DistinctConfigsAreDistinctEntries)
     local.repair.kind = RepairKind::Perfect;
 
     SuiteCache cache;
-    cache.run(suite, base, 1);
-    cache.run(suite, local, 1);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().hits, 0u);
+    SweepOptions sweep;
+    sweep.jobs = 1;
+    sweep.cache = &cache;
+    const SweepResult res =
+        runSweep(suite, {{"tage", base}, {"perfect", local}}, sweep);
+    EXPECT_EQ(res.stats.cellsSimulated, 2 * suite.size());
+    EXPECT_EQ(res.stats.cellsCacheHit, 0u);
+    EXPECT_NE(res.configResults[0], res.configResults[1]);
     EXPECT_EQ(cache.entries(), 2u);
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Sweep orchestration observability (src/sim/sweep): JSON-lines event
  * log well-formedness and wall-time reconciliation, pinned progress/ETA
- * line content, manifest schema and provenance, the sweep-counter
- * table, the strict spec-count parser, and Figure-8 port-analysis
+ * line content, manifest schema and provenance, one simulation per
+ * distinct configuration, the sweep-counter table, the strict spec-count parser, and Figure-8 port-analysis
  * reconciliation against the raw forensics records.
  */
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -380,6 +381,72 @@ TEST(Sweep, ManifestParsesAndCarriesProvenance)
     for (const Program &p : suite)
         EXPECT_NE(text.find("\"workload\": \"" + p.name + "\""),
                   std::string::npos);
+}
+
+// A config listed twice, under two names, is one simulation: the
+// repeat shares the first listing's result, its cells count as cache
+// hits, the store is probed and written once per distinct config, and
+// the CSV rows differ only in the config column. Distinct configs stay
+// distinct cache entries, and a second sweep on the same cache
+// simulates nothing and hands back the very same entries.
+TEST(Sweep, RepeatedConfigIsSimulatedOnce)
+{
+    const std::vector<Program> suite = smallSuite(2);
+    const std::size_t nw = suite.size();
+    const std::vector<SweepConfig> configs = {
+        {"forward-walk", schemeConfig(RepairKind::ForwardWalk)},
+        {"forward-walk-again", schemeConfig(RepairKind::ForwardWalk)},
+        {"snapshot", schemeConfig(RepairKind::Snapshot)},
+    };
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "lbp-sweep-repeat";
+    std::filesystem::remove_all(dir);
+    ResultStore store(dir.string());
+    SuiteCache cache;
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.cache = &cache;
+    opts.store = &store;
+    const SweepResult res = runSweep(suite, configs, opts);
+
+    EXPECT_EQ(res.stats.cellsTotal, 3 * nw);
+    EXPECT_EQ(res.stats.cellsSimulated, 2 * nw);
+    EXPECT_EQ(res.stats.cellsCacheHit, nw);
+    EXPECT_EQ(res.stats.cellsStoreHit, 0u);
+    EXPECT_EQ(res.stats.storeMisses, 2u);
+    EXPECT_EQ(res.stats.storeWrites, 2u);
+    EXPECT_EQ(cache.entries(), 2u);
+    EXPECT_EQ(res.configResults[0], res.configResults[1]);
+    EXPECT_NE(res.configResults[0], res.configResults[2]);
+    for (std::size_t w = 0; w < nw; ++w) {
+        EXPECT_EQ(res.cells[w].outcome, SweepCell::Outcome::Simulated);
+        const SweepCell &repeat = res.cells[nw + w];
+        EXPECT_EQ(repeat.outcome, SweepCell::Outcome::CacheHit);
+        EXPECT_EQ(repeat.worker, -1);
+        EXPECT_EQ(repeat.wallSeconds, 0.0);
+    }
+
+    std::ostringstream csv;
+    writeSweepCsv(csv, res, configs);
+    std::istringstream lines(csv.str());
+    std::string line;
+    std::getline(lines, line);  // header
+    std::map<std::string, std::vector<std::string>> rows;
+    while (std::getline(lines, line)) {
+        const std::size_t comma = line.find(',');
+        rows[line.substr(0, comma)].push_back(line.substr(comma));
+    }
+    ASSERT_EQ(rows["forward-walk"].size(), nw);
+    EXPECT_EQ(rows["forward-walk"], rows["forward-walk-again"]);
+    EXPECT_NE(rows["forward-walk"], rows["snapshot"]);
+
+    const SweepResult warm = runSweep(suite, configs, opts);
+    EXPECT_EQ(warm.stats.cellsSimulated, 0u);
+    EXPECT_EQ(warm.stats.cellsCacheHit, 3 * nw);
+    EXPECT_EQ(warm.stats.storeHits + warm.stats.storeMisses, 0u);
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        EXPECT_EQ(warm.configResults[c], res.configResults[c]);
+    EXPECT_EQ(cache.entries(), 2u);
 }
 
 TEST(Sweep, MetricTableNamesUniqueAndBound)

@@ -24,6 +24,7 @@
 #include <limits>
 #include <string>
 
+#include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "serve/server.hh"
 #include "sim/result_store.hh"
@@ -221,6 +222,9 @@ main(int argc, char **argv)
         opt.storeDir = env;
     if (!parseOptions(argc, argv, opt))
         return 1;
+    // Fixed at start-up, so a malformed REPRO_JOBS stops the daemon
+    // before it opens a file or binds a port.
+    opt.jobs = resolveJobs(opt.jobs);
 
     ResultStore store(opt.storeDir);
     std::ofstream eventLog;

@@ -494,26 +494,7 @@ main(int argc, char **argv)
     }
     std::printf("%s", table.render().c_str());
 
-    const SweepStats &s = res.stats;
-    std::printf("cells: %llu total = %llu simulated + %llu store hits "
-                "+ %llu cache hits\n",
-                static_cast<unsigned long long>(s.cellsTotal),
-                static_cast<unsigned long long>(s.cellsSimulated),
-                static_cast<unsigned long long>(s.cellsStoreHit),
-                static_cast<unsigned long long>(s.cellsCacheHit));
-    if (sweepOpts.store)
-        std::printf("store: %llu hits, %llu misses (%llu stale), "
-                    "%llu writes -> %s\n",
-                    static_cast<unsigned long long>(s.storeHits),
-                    static_cast<unsigned long long>(s.storeMisses),
-                    static_cast<unsigned long long>(s.storeStale),
-                    static_cast<unsigned long long>(s.storeWrites),
-                    store.dir().c_str());
-    std::printf("wall %.2fs (%.2f Minstr/s)\n", s.wallSeconds,
-                s.wallSeconds > 0.0
-                    ? static_cast<double>(s.simInstrs) / 1e6 /
-                          s.wallSeconds
-                    : 0.0);
+    printSweepSummary(stdout, res.stats, sweepOpts.store);
 
     if (!opt.manifestPath.empty()) {
         std::ofstream out = openOrDie(opt.manifestPath);
