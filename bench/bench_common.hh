@@ -6,8 +6,8 @@
  *  1. Figure's constructor reads the suite cap and the budgets from
  *     REPRO_WORKLOADS, REPRO_WARMUP and REPRO_INSTR into a SweepSpec
  *     (strictly: a malformed value stops the bench), builds the suite
- *     that spec selects, prints the header and declares the TAGE-only
- *     baseline.
+ *     that spec selects, prints the header and, unless the bench never
+ *     reads it, declares the TAGE-only baseline.
  *  2. The bench declares every configuration it needs with add().
  *  3. run() simulates them as one sweep on REPRO_JOBS workers, into
  *     the figure's own SuiteCache and, when REPRO_RESULT_STORE names a
@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,9 +53,9 @@ retainedPct(double scheme_gain, double perfect_gain)
 class Figure
 {
   public:
-    /** Read the environment, build the suite, print the header and
-     *  declare the baseline (config 0). */
-    explicit Figure(const char *title)
+    /** Read the environment, build the suite, print the header and,
+     *  with @p withBaseline, declare the baseline (config 0). */
+    explicit Figure(const char *title, bool withBaseline = true)
         : jobs_(resolveJobs(0)), store_(storeDirFromEnvironment())
     {
         spec_.suite = static_cast<unsigned>(envCount(
@@ -83,7 +84,8 @@ class Figure
                     "concurrency)\n\n",
                     jobs_);
 
-        add("baseline", base_);
+        if (withBaseline)
+            baselineId_ = add("baseline", base_);
     }
 
     const std::vector<Program> &suite() const { return suite_; }
@@ -127,7 +129,12 @@ class Figure
         return *result_.configResults.at(id);
     }
 
-    const SuiteResult &baseline() const { return result(0); }
+    /** Results of the baseline; throws when it was not declared. */
+    const SuiteResult &
+    baseline() const
+    {
+        return result(baselineId_.value());
+    }
 
     /**
      * @p lead followed by the "MPKI redn", "IPC gain" and "% of
@@ -172,6 +179,7 @@ class Figure
     SweepSpec spec_;
     std::vector<Program> suite_;
     SimConfig base_;  ///< TAGE-only baseline
+    std::optional<std::size_t> baselineId_;  ///< its config, if declared
     SuiteCache cache_;
     ResultStore store_;
     SweepResult result_;

@@ -91,7 +91,6 @@ class LoopPatternTable
     void feedback(Addr pc, bool predicted, bool actual);
 
     bool confident(const Entry &e) const { return e.conf >= confThresh_; }
-    unsigned confThreshold() const { return confThresh_; }
     unsigned entries() const { return table_.numEntries(); }
     double storageKB() const;
 

@@ -156,9 +156,6 @@ class TagePredictor
     /** Number of tagged tables in use (sizes pool arenas). */
     unsigned numTables() const { return numTables_; }
 
-    /** Longest history length in use (test/inspection helper). */
-    unsigned maxHistLen() const { return maxHist_; }
-
   private:
     struct TageEntry
     {

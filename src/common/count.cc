@@ -1,6 +1,7 @@
 #include "common/count.hh"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,6 +17,22 @@ parseSpecCount(std::string_view text, std::uint64_t &out,
     std::uint64_t v = 0;
     const auto [ptr, ec] = std::from_chars(text.data(), end, v);
     if (ec != std::errc() || ptr != end || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseSeconds(std::string_view text, double &out)
+{
+    // from_chars takes no leading '+' or space; fixed format stops at
+    // an exponent, which then fails the whole-text check.
+    const char *end = text.data() + text.size();
+    double v = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), end, v, std::chars_format::fixed);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
+        std::signbit(v))
         return false;
     out = v;
     return true;

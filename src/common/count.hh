@@ -1,10 +1,11 @@
 /**
  * @file
- * The one strict count parser, for every count a user can type: the
- * tools' numeric flags, sweep-spec directives, and the REPRO_*
- * environment variables (REPRO_JOBS, REPRO_WORKLOADS, REPRO_WARMUP,
- * REPRO_INSTR). It lives in src/common so the thread pool can read
- * REPRO_JOBS without depending on the sweep layer.
+ * The strict number parsers, for every count or duration a user can
+ * type: the tools' numeric flags (common/cli.hh), sweep-spec
+ * directives, and the REPRO_* environment variables (REPRO_JOBS,
+ * REPRO_WORKLOADS, REPRO_WARMUP, REPRO_INSTR). They live in src/common
+ * so the thread pool can read REPRO_JOBS without depending on the
+ * sweep layer.
  */
 
 #ifndef LBP_COMMON_COUNT_HH
@@ -24,6 +25,14 @@ namespace lbp {
 bool parseSpecCount(std::string_view text, std::uint64_t &out,
                     std::uint64_t max =
                         std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * The one strict parser for seconds-valued flags: @p text must be a
+ * plain decimal ("60", "0.5"), finite and non-negative — no sign,
+ * exponent, space or trailing characters. Returns false, leaving
+ * @p out untouched, for anything else.
+ */
+bool parseSeconds(std::string_view text, double &out);
 
 /**
  * The count held by environment variable @p name: @p fallback when it

@@ -1,8 +1,9 @@
 /**
  * @file
  * Status and error reporting helpers, following the gem5 conventions:
- * panic() for internal invariant violations (simulator bugs), fatal() for
- * user/configuration errors, warn()/inform() for non-fatal notices.
+ * lbp_panic()/lbp_assert() for internal invariant violations (simulator
+ * bugs), warnImpl() for non-fatal notices. The tools report usage
+ * errors themselves (common/cli.hh).
  */
 
 #ifndef LBP_COMMON_LOGGING_HH
@@ -20,32 +21,16 @@ panicImpl(const char *file, int line, const char *msg)
     std::abort();
 }
 
-[[noreturn]] inline void
-fatalImpl(const char *file, int line, const char *msg)
-{
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg, file, line);
-    std::exit(1);
-}
-
 inline void
 warnImpl(const char *msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg);
 }
 
-inline void
-informImpl(const char *msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg);
-}
-
 } // namespace lbp
 
 /** Abort on a condition that indicates a simulator bug. */
 #define lbp_panic(msg) ::lbp::panicImpl(__FILE__, __LINE__, (msg))
-
-/** Exit on a condition that indicates a user/configuration error. */
-#define lbp_fatal(msg) ::lbp::fatalImpl(__FILE__, __LINE__, (msg))
 
 /** Assert a simulator invariant; compiled in all build types. */
 #define lbp_assert(cond)                                                     \

@@ -72,9 +72,6 @@ class SatCounter
         value_ = v;
     }
 
-    /** Reset to the weakly-not-taken midpoint minus one. */
-    void resetWeak() { value_ = (1u << (bits_ - 1)) - 1; }
-
   private:
     unsigned bits_;
     std::uint32_t value_;

@@ -137,14 +137,6 @@ class SetAssocTable
             way->valid = false;
     }
 
-    /** Invalidate every entry. */
-    void
-    invalidateAll()
-    {
-        for (auto &way : ways_)
-            way.valid = false;
-    }
-
     /** Raw access to way storage, for snapshot/restore and iteration. */
     std::vector<Way> &raw() { return ways_; }
     const std::vector<Way> &raw() const { return ways_; }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Lightweight statistics primitives and a text table formatter used by the
- * benchmark harnesses to print paper-style result tables.
+ * Lightweight statistics primitives — the one histogram class, means
+ * and number formatting — and the text table formatter the benchmark
+ * harnesses print paper-style result tables with.
  */
 
 #ifndef LBP_COMMON_STATS_HH
@@ -16,12 +17,23 @@
 namespace lbp {
 
 /**
- * Running distribution summary: count, sum, min, max and mean, plus
- * power-of-two bucket counts for shape inspection.
+ * Power-of-two bucketed histogram with a fixed, compile-time bucket
+ * count, plus count, sum, min, max and mean. sample() is a shift-free
+ * loop over at most numBuckets compares and a few adds, and the
+ * footprint is constant, so repair schemes and tracers can own one per
+ * metric without heap traffic on the hot path.
+ *
+ * Bucket b counts samples v with 2^(b-1) < v <= 2^b (bucket 0 holds
+ * v <= 1).
  */
-class Distribution
+class FixedHistogram
 {
   public:
+    /** Buckets cover values up to 2^23; larger samples clamp to the
+     *  last bucket (resolve latencies and walk lengths sit far below). */
+    static constexpr unsigned numBuckets = 24;
+
+    /** Record one sample. */
     void
     sample(std::uint64_t v)
     {
@@ -35,11 +47,15 @@ class Distribution
         ++buckets_[b];
     }
 
+    /** Total samples recorded. */
     std::uint64_t count() const { return count_; }
+    /** Sum of all sample values. */
     std::uint64_t sum() const { return sum_; }
+    /** Smallest sample seen (0 when empty). */
     std::uint64_t min() const { return count_ ? min_ : 0; }
-    std::uint64_t max() const { return count_ ? max_ : 0; }
-
+    /** Largest sample seen (0 when empty). */
+    std::uint64_t max() const { return max_; }
+    /** Arithmetic mean (0.0 when empty). */
     double
     mean() const
     {
@@ -47,21 +63,19 @@ class Distribution
                             static_cast<double>(count_)
                       : 0.0;
     }
-
-    /** Count of samples v with 2^(b-1) < v <= 2^b (bucket 0: v <= 1). */
+    /** Count in bucket @p b (see class comment for the bucket bounds). */
     std::uint64_t bucket(unsigned b) const { return buckets_[b]; }
 
-    void
-    reset()
+    /** Sum of all bucket counts; equals count() by construction — the
+     *  histogram/counter reconciliation tests assert exactly this. */
+    std::uint64_t
+    bucketTotal() const
     {
-        count_ = sum_ = 0;
-        min_ = std::numeric_limits<std::uint64_t>::max();
-        max_ = 0;
-        for (auto &b : buckets_)
-            b = 0;
+        std::uint64_t total = 0;
+        for (std::uint64_t n : buckets_)
+            total += n;
+        return total;
     }
-
-    static constexpr unsigned numBuckets = 16;
 
   private:
     std::uint64_t count_ = 0;

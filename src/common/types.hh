@@ -40,22 +40,6 @@ enum class InstClass : std::uint8_t {
     NumClasses
 };
 
-/** True when the class is any kind of control-flow instruction. */
-inline bool
-isControl(InstClass c)
-{
-    return c == InstClass::CondBranch || c == InstClass::Jump;
-}
-
-/** Direction of a conditional branch. */
-enum class Dir : std::uint8_t { NotTaken = 0, Taken = 1 };
-
-inline Dir
-dirOf(bool taken)
-{
-    return taken ? Dir::Taken : Dir::NotTaken;
-}
-
 } // namespace lbp
 
 #endif // LBP_COMMON_TYPES_HH

@@ -75,10 +75,6 @@ struct DynInst
     BranchRec *br = nullptr;
 
     bool isCond() const { return cls == InstClass::CondBranch; }
-    bool isMem() const
-    {
-        return cls == InstClass::Load || cls == InstClass::Store;
-    }
 };
 
 // One cache line per ring slot. Deliberately no alignas(64): it makes

@@ -10,15 +10,6 @@
 
 namespace lbp {
 
-std::uint64_t
-FixedHistogram::bucketTotal() const
-{
-    std::uint64_t total = 0;
-    for (unsigned b = 0; b < numBuckets; ++b)
-        total += buckets_[b];
-    return total;
-}
-
 void
 MetricsRegistry::counter(std::string name, std::string unit,
                          std::string help, std::uint64_t value)

@@ -25,71 +25,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/stats.hh"
+
 namespace lbp {
 
 struct RunResult;
 struct SweepStats;
 struct ServeStats;
 struct StoreStats;
-
-/**
- * Power-of-two bucketed histogram with a fixed, compile-time bucket
- * count: sample() is a shift-free loop over at most numBuckets
- * compares and three adds, and the footprint is constant, so tracers
- * can own one per metric without heap traffic on the hot path.
- *
- * Bucket b counts samples v with 2^(b-1) < v <= 2^b (bucket 0 holds
- * v <= 1), matching common/stats.hh Distribution so the two can be
- * reconciled in tests.
- */
-class FixedHistogram
-{
-  public:
-    /** Buckets cover values up to 2^23; larger samples clamp to the
-     *  last bucket (resolve latencies and walk lengths sit far below). */
-    static constexpr unsigned numBuckets = 24;
-
-    /** Record one sample. */
-    void
-    sample(std::uint64_t v)
-    {
-        ++count_;
-        sum_ += v;
-        if (v > max_)
-            max_ = v;
-        unsigned b = 0;
-        while ((1ull << b) < v && b + 1 < numBuckets)
-            ++b;
-        ++buckets_[b];
-    }
-
-    /** Total samples recorded. */
-    std::uint64_t count() const { return count_; }
-    /** Sum of all sample values. */
-    std::uint64_t sum() const { return sum_; }
-    /** Largest sample seen (0 when empty). */
-    std::uint64_t max() const { return max_; }
-    /** Arithmetic mean (0.0 when empty). */
-    double
-    mean() const
-    {
-        return count_ ? static_cast<double>(sum_) /
-                            static_cast<double>(count_)
-                      : 0.0;
-    }
-    /** Count in bucket @p b (see class comment for the bucket bounds). */
-    std::uint64_t bucket(unsigned b) const { return buckets_[b]; }
-
-    /** Sum of all bucket counts; equals count() by construction — the
-     *  histogram/counter reconciliation tests assert exactly this. */
-    std::uint64_t bucketTotal() const;
-
-  private:
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t max_ = 0;
-    std::uint64_t buckets_[numBuckets] = {};
-};
 
 /** One exported scalar metric: a named, unit-annotated value. */
 struct Metric

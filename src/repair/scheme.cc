@@ -134,12 +134,6 @@ RepairScheme::atRetire(DynInst &di)
     }
 }
 
-const char *
-RepairScheme::name() const
-{
-    return "base";
-}
-
 std::unique_ptr<LocalPredictor>
 makeLocalPredictor(const RepairConfig &cfg)
 {

@@ -128,10 +128,10 @@ struct RepairStats
     std::uint64_t overridesCorrect = 0;
     std::uint64_t earlyResteers = 0;
     std::uint64_t earlyResteersWrong = 0;
-    Distribution walkLength;       ///< entries examined per repair
-    Distribution writesPerRepair;  ///< BHT writes per repair
-    Distribution repairsNeeded;    ///< distinct polluted PCs (Figure 8)
-    Distribution repairCycles;
+    FixedHistogram walkLength;       ///< entries examined per repair
+    FixedHistogram writesPerRepair;  ///< BHT writes per repair
+    FixedHistogram repairsNeeded;    ///< distinct polluted PCs (Figure 8)
+    FixedHistogram repairCycles;
 };
 
 /**
@@ -198,8 +198,6 @@ class RepairScheme
      */
     virtual unsigned obqOccupancy() const { return 0; }
 
-    virtual const char *name() const;
-
     /**
      * PCs the scheme's most recent atMispredict() claimed to repair,
      * or nullptr when the scheme repairs every polluted PC (the walks,
@@ -230,9 +228,6 @@ class RepairScheme
 
     const RepairStats &stats() const { return stats_; }
     const RepairConfig &config() const { return cfg_; }
-
-    /** Current WITHLOOP chooser value (diagnostics/tests). */
-    int chooserValue() const { return withLoop_.value(); }
 
   protected:
     /** Can the BHT serve a prediction for @p pc right now? */

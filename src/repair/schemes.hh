@@ -24,7 +24,6 @@ class NoRepairScheme : public RepairScheme
 {
   public:
     using RepairScheme::RepairScheme;
-    const char *name() const override { return "no-repair"; }
 };
 
 /**
@@ -37,7 +36,6 @@ class RetireUpdateScheme : public RepairScheme
   public:
     using RepairScheme::RepairScheme;
     void atRetire(DynInst &di) override;
-    const char *name() const override { return "retire-update"; }
 
   protected:
     bool specUpdatesAtPredict() const override { return false; }
@@ -57,7 +55,6 @@ class PerfectRepairScheme : public RepairScheme
 
     void atTruePathFetch(const DynInst &di) override;
     void atMispredict(DynInst &di, Cycle now) override;
-    const char *name() const override { return "perfect"; }
 
   private:
     std::unique_ptr<LocalPredictor> oracle_;
@@ -99,7 +96,6 @@ class BackwardWalkScheme : public WalkSchemeBase
                        const RepairConfig &cfg);
 
     void atMispredict(DynInst &di, Cycle now) override;
-    const char *name() const override { return "backward-walk"; }
 
   protected:
     bool bhtUsable(Addr pc, Cycle now) const override;
@@ -120,10 +116,6 @@ class ForwardWalkScheme : public WalkSchemeBase
                       const RepairConfig &cfg);
 
     void atMispredict(DynInst &di, Cycle now) override;
-    const char *name() const override
-    {
-        return cfg_.coalesce ? "forward-walk+coalesce" : "forward-walk";
-    }
 
   protected:
     bool bhtUsable(Addr pc, Cycle now) const override;
@@ -152,7 +144,6 @@ class SnapshotScheme : public RepairScheme
     {
         return static_cast<unsigned>(tail_ - head_);
     }
-    const char *name() const override { return "snapshot"; }
 
   protected:
     void checkpoint(DynInst &di, Cycle now) override;
@@ -189,7 +180,6 @@ class LimitedPcScheme : public RepairScheme
     void atMispredict(DynInst &di, Cycle now) override;
     void atRetire(DynInst &di) override;
     double storageKB() const override;
-    const char *name() const override { return "limited-pc"; }
 
     /** The M PCs the last repair actually wrote (declared coverage). */
     const std::vector<Addr> *lastRepairSet() const override
@@ -248,7 +238,6 @@ class FutureFileScheme : public RepairScheme
     {
         return static_cast<unsigned>(tail_ - head_);
     }
-    const char *name() const override { return "future-file"; }
 
   private:
     struct Entry
@@ -291,10 +280,6 @@ class MultiStageScheme : public RepairScheme
     double storageKB() const override;
     double localStorageKB() const override;
     unsigned obqOccupancy() const override { return obq_.size(); }
-    const char *name() const override
-    {
-        return sharedPt_ ? "split-bht(shared-pt)" : "split-bht(split-pt)";
-    }
 
     /** BHT-Defer (the checkpointed table) is looked up at atAlloc(). */
     bool auditsAtAlloc() const override { return true; }

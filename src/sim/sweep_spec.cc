@@ -1,6 +1,5 @@
 #include "sim/sweep_spec.hh"
 
-#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -22,18 +21,13 @@ parseSpecCount(double value, std::uint64_t &out, std::uint64_t max)
 }
 
 bool
-parseSeconds(std::string_view text, double &out)
+parseSuiteSize(std::string_view text, unsigned &out)
 {
-    // from_chars takes no leading '+' or space; fixed format stops at
-    // an exponent, which then fails the whole-text check.
-    const char *end = text.data() + text.size();
-    double v = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), end, v, std::chars_format::fixed);
-    if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
-        std::signbit(v))
+    std::uint64_t n = 0;
+    if (text != "all" &&
+        !parseSpecCount(text, n, std::numeric_limits<unsigned>::max()))
         return false;
-    out = v;
+    out = static_cast<unsigned>(n);
     return true;
 }
 
@@ -99,6 +93,14 @@ parseTageConfig(std::string_view text, TageConfig &out)
 }
 
 std::string
+suiteSizeRange()
+{
+    return "an integer in [0, " +
+           std::to_string(std::numeric_limits<unsigned>::max()) +
+           "] or 'all'";
+}
+
+std::string
 repairPortsRange()
 {
     return "M-N-P with M in [" + std::to_string(RepairPorts::minEntries) +
@@ -115,26 +117,11 @@ limitedMRange()
 }
 
 bool
-sweepSchemeKind(const std::string &name, RepairKind &kind)
+sweepSchemeKind(std::string_view name, RepairKind &kind)
 {
-    const struct
-    {
-        const char *name;
-        RepairKind k;
-    } names[] = {
-        {"perfect", RepairKind::Perfect},
-        {"no-repair", RepairKind::NoRepair},
-        {"retire-update", RepairKind::RetireUpdate},
-        {"backward-walk", RepairKind::BackwardWalk},
-        {"snapshot", RepairKind::Snapshot},
-        {"forward-walk", RepairKind::ForwardWalk},
-        {"limited-pc", RepairKind::LimitedPc},
-        {"multi-stage", RepairKind::MultiStage},
-        {"future-file", RepairKind::FutureFile},
-    };
-    for (const auto &n : names) {
-        if (name == n.name) {
-            kind = n.k;
+    for (int k = 0; k <= static_cast<int>(RepairKind::FutureFile); ++k) {
+        if (name == repairKindName(static_cast<RepairKind>(k))) {
+            kind = static_cast<RepairKind>(k);
             return true;
         }
     }
@@ -231,28 +218,25 @@ parseSweepSpecText(const std::string &text, SweepSpec &spec,
         std::string word;
         if (!(ls >> word))
             continue;
-        if (word == "suite" || word == "warmup" || word == "instr") {
-            // Exactly one value; `suite` also takes "all".
-            const bool suite = word == "suite";
-            const std::uint64_t max =
-                suite ? std::numeric_limits<unsigned>::max()
-                      : std::numeric_limits<std::uint64_t>::max();
+        if (word == "suite") {
             std::string v, extra;
-            std::uint64_t n = 0;
             ls >> v;
-            if ((ls >> extra) ||
-                !((suite && v == "all") || parseSpecCount(v, n, max))) {
-                error = "spec: " + word + " wants one integer in [0, " +
-                        std::to_string(max) + "]" +
-                        (suite ? " or 'all'" : "");
+            if ((ls >> extra) || !parseSuiteSize(v, spec.suite)) {
+                error = "spec: suite wants " + suiteSizeRange();
                 return false;
             }
-            if (suite) {
-                spec.fullSuite = v == "all";
-                spec.suite = static_cast<unsigned>(n);
-            } else {
-                (word == "warmup" ? spec.warmupInstrs
-                                  : spec.measureInstrs) = n;
+            spec.fullSuite = spec.suite == 0;
+        } else if (word == "warmup" || word == "instr") {
+            std::string v, extra;
+            ls >> v;
+            if ((ls >> extra) ||
+                !parseSpecCount(v, word == "warmup" ? spec.warmupInstrs
+                                                    : spec.measureInstrs)) {
+                error = "spec: " + word + " wants one integer in [0, " +
+                        std::to_string(
+                            std::numeric_limits<std::uint64_t>::max()) +
+                        "]";
+                return false;
             }
         } else if (word == "config") {
             SweepConfig sc;

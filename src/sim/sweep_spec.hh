@@ -38,8 +38,8 @@ namespace lbp {
  */
 struct SweepSpec
 {
-    unsigned suite = 8;        ///< workload cap (ignored if fullSuite)
-    bool fullSuite = false;    ///< `suite all`: the whole 202 workloads
+    unsigned suite = 8;        ///< workload cap; 0 = the whole suite
+    bool fullSuite = false;    ///< the whole suite, whatever `suite` says
     std::uint64_t warmupInstrs = 40000;   ///< warm-up budget per cell
     std::uint64_t measureInstrs = 60000;  ///< measured budget per cell
     std::vector<SweepConfig> configs;     ///< empty = caller's default
@@ -55,12 +55,12 @@ bool parseSpecCount(double value, std::uint64_t &out,
                         std::numeric_limits<std::uint64_t>::max());
 
 /**
- * The one strict parser for the tools' seconds-valued flags: @p text
- * must be a plain decimal ("60", "0.5"), finite and non-negative — no
- * sign, exponent, space or trailing characters. Returns false, leaving
+ * Parse a suite size "N|all": a plain decimal in [0, UINT_MAX] (see
+ * parseSpecCount) or "all". 0 and "all" both select the whole suite,
+ * as SuiteOptions::maxWorkloads = 0 does. Returns false, leaving
  * @p out untouched, for anything else.
  */
-bool parseSeconds(std::string_view text, double &out);
+bool parseSuiteSize(std::string_view text, unsigned &out);
 
 /**
  * Parse a `ports` value "M-N-P": exactly three plain decimals (see
@@ -91,6 +91,9 @@ bool parseLoopConfig(std::string_view text, LoopConfig &out);
  */
 bool parseTageConfig(std::string_view text, TageConfig &out);
 
+/** What parseSuiteSize() accepts, for error messages. */
+std::string suiteSizeRange();
+
 /** What parseRepairPorts() accepts, for error messages. */
 std::string repairPortsRange();
 
@@ -98,11 +101,12 @@ std::string repairPortsRange();
 std::string limitedMRange();
 
 /**
- * Scheme-name -> RepairKind mapping ("perfect", "forward-walk", ...).
- * False when @p name names no scheme ("baseline" is not a scheme: it
- * is the TAGE-only configuration config lines special-case).
+ * Scheme-name -> RepairKind mapping, the inverse of repairKindName()
+ * ("perfect", "forward-walk", ...). False, leaving @p kind untouched,
+ * when @p name names no scheme ("baseline" is not a scheme: it is the
+ * TAGE-only configuration config lines special-case).
  */
-bool sweepSchemeKind(const std::string &name, RepairKind &kind);
+bool sweepSchemeKind(std::string_view name, RepairKind &kind);
 
 /**
  * Parse spec text ('#' comments, blank lines, directives — see the

@@ -135,15 +135,8 @@ ProgramBuilder::addBranch(std::uint32_t block_idx, BehaviorPtr behavior)
     if (!prog_.streams.empty() && (h & 0xff) < 0x80) {  // ~50%
         StaticInst feed;
         feed.cls = InstClass::Load;
-        // Data-dependent branches compare values the prefetcher cannot
-        // stage (pointer-chasing style), so their resolution genuinely
-        // waits on the hierarchy.
-        if (branchStream_ >= 0 && ((h >> 8) % 6) == 0) {
-            feed.stream = static_cast<std::uint8_t>(branchStream_);
-        } else {
-            feed.stream = static_cast<std::uint8_t>(
-                (h >> 9) % prog_.streams.size());
-        }
+        feed.stream =
+            static_cast<std::uint8_t>((h >> 9) % prog_.streams.size());
         appendInst(block_idx, feed);
         StaticInst term;
         term.cls = InstClass::CondBranch;

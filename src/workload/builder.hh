@@ -63,9 +63,6 @@ class ProgramBuilder
     /** Register a memory stream; returns its index. */
     unsigned addStream(const MemStream &ms);
 
-    /** Stream that feeds data-dependent branches (default: none). */
-    void setBranchStream(unsigned idx) { branchStream_ = static_cast<int>(idx); }
-
     /**
      * Lower the top-level segment list into a Program. The sequence is
      * wrapped in an infinite loop (unconditional back-jump) so execution
@@ -84,7 +81,6 @@ class ProgramBuilder
 
     std::string name_;
     std::string category_;
-    int branchStream_ = -1;
     std::uint64_t seed_;
     Mix mix_;
     Program prog_;

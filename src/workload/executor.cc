@@ -54,7 +54,6 @@ Executor::next()
         desc_.taken = taken;
         advance_taken = taken;
         ctx_.globalHist = (ctx_.globalHist << 1) | (taken ? 1 : 0);
-        ++condCount_;
     } else if (si.cls == InstClass::Jump) {
         desc_.taken = true;
         advance_taken = true;

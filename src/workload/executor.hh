@@ -54,9 +54,6 @@ class Executor
     /** Instructions produced so far. */
     std::uint64_t instCount() const { return instCount_; }
 
-    /** Conditional branches produced so far. */
-    std::uint64_t condCount() const { return condCount_; }
-
     const Program &program() const { return prog_; }
 
   private:
@@ -69,7 +66,6 @@ class Executor
     GlobalBranchCtx ctx_;
     DynInstDesc desc_;
     std::uint64_t instCount_ = 0;
-    std::uint64_t condCount_ = 0;
 };
 
 } // namespace lbp

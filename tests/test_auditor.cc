@@ -360,8 +360,6 @@ class BrokenLimitedPcScheme : public LimitedPcScheme
         LimitedPcScheme::atMispredict(di, now);
         lp_->writeState(di.pc, LoopState::make(999, true));
     }
-
-    const char *name() const override { return "broken-limited-pc"; }
 };
 
 /** Broken MultiStage: same corruption, against BHT-Defer. */
@@ -376,8 +374,6 @@ class BrokenMultiStageScheme : public MultiStageScheme
         MultiStageScheme::atMispredict(di, now);
         lp_->writeState(di.pc, LoopState::make(999, true));
     }
-
-    const char *name() const override { return "broken-multi-stage"; }
 };
 
 } // namespace
@@ -456,8 +452,6 @@ class BrokenWalkScheme : public BackwardWalkScheme
         // Pollution accounting only; no repair, no declared gap.
         RepairScheme::atMispredict(di, now);
     }
-
-    const char *name() const override { return "broken-walk"; }
 };
 
 } // namespace

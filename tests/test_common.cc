@@ -252,20 +252,6 @@ TEST(SetAssoc, HelpersPowerOf2)
 // Stats
 // ---------------------------------------------------------------------
 
-TEST(Stats, DistributionTracksMoments)
-{
-    Distribution d;
-    for (std::uint64_t v : {1, 2, 3, 4, 10})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 5u);
-    EXPECT_EQ(d.min(), 1u);
-    EXPECT_EQ(d.max(), 10u);
-    EXPECT_DOUBLE_EQ(d.mean(), 4.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.max(), 0u);
-}
-
 TEST(Stats, GeomeanOfRatios)
 {
     EXPECT_NEAR(geomean({2.0, 0.5}), 1.0, 1e-12);

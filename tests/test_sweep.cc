@@ -555,6 +555,31 @@ TEST(SweepSpec, MalformedCountsAreSpecErrors)
     EXPECT_EQ(spec.suite, 3u);
 }
 
+TEST(SweepSpec, SuiteZeroAndAllBothSelectTheWholeSuite)
+{
+    // One N|all parser serves the `suite` directive and both CLIs.
+    unsigned n = 5;
+    for (const char *bad : {"", "-1", "4294967296", "all8", " 8", "ALL"})
+        EXPECT_FALSE(parseSuiteSize(bad, n)) << "'" << bad << "'";
+    EXPECT_EQ(n, 5u);
+    ASSERT_TRUE(parseSuiteSize("8", n));
+    EXPECT_EQ(n, 8u);
+    ASSERT_TRUE(parseSuiteSize("all", n));
+    EXPECT_EQ(n, 0u);
+    n = 5;
+    ASSERT_TRUE(parseSuiteSize("0", n));
+    EXPECT_EQ(n, 0u);
+
+    const std::size_t whole = suiteSize(SuiteOptions{});
+    for (const char *text : {"suite 0", "suite all"}) {
+        SweepSpec spec;
+        std::string err;
+        ASSERT_TRUE(parseSweepSpecText(text, spec, err)) << err;
+        EXPECT_TRUE(spec.fullSuite) << text;
+        EXPECT_EQ(suiteSize(specSuiteOptions(spec)), whole) << text;
+    }
+}
+
 TEST(SweepSpec, OutOfRangeModifiersAreSpecErrors)
 {
     // Before the modifiers were parsed strictly, each of these reached

@@ -382,6 +382,13 @@ TEST(Trace, HistogramsReconcileWithCounters)
 TEST(Trace, FixedHistogramBucketBounds)
 {
     FixedHistogram h;
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+    h.sample(3);
+    EXPECT_EQ(h.min(), 3u);
+    h = FixedHistogram();
     h.sample(0);
     h.sample(1);   // bucket 0: v <= 1
     h.sample(2);   // bucket 1: 1 < v <= 2
@@ -394,7 +401,9 @@ TEST(Trace, FixedHistogramBucketBounds)
     EXPECT_EQ(h.bucket(3), 1u);
     EXPECT_EQ(h.count(), 6u);
     EXPECT_EQ(h.sum(), 15u);
+    EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 5u);
+    EXPECT_DOUBLE_EQ(h.mean(), 2.5);
     EXPECT_EQ(h.bucketTotal(), h.count());
     // Clamp: huge samples land in the last bucket, not out of bounds.
     h.sample(~0ull);

@@ -22,13 +22,14 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "obs/port_analysis.hh"
@@ -44,196 +45,54 @@ using namespace lbp;
 
 namespace {
 
-struct Options
+constexpr const char *kTool = "lbpsweep";
+
+/** The files a sweep reads and writes besides its store entries. */
+struct Files
 {
-    std::string specPath;
-    unsigned suite = 8;       ///< workload cap (0 via --suite all)
-    bool fullSuite = false;
-    std::uint64_t warmup = 40000;
-    std::uint64_t instrs = 60000;
-    unsigned jobs = 0;
-    std::string storeDir;     ///< persistent store (REPRO_RESULT_STORE)
-    bool storeFromFlag = false;  ///< --store given explicitly
-    std::string eventLogPath;
-    std::string manifestPath;
-    std::string csvPath;
-    std::string portAnalysisPath;
-    std::string server;       ///< host:port of a resident lbpserved
-    std::string serverHost;   ///< --server's host part
-    std::uint16_t serverPort = 0;  ///< --server's port part
-    bool quiet = false;       ///< suppress the live progress line
-
-    std::string traceId;      ///< request trace id (--trace)
-    bool storeGc = false;     ///< --store-gc maintenance mode
-    double gcAge = 0.0;       ///< --store-gc-age
-    std::uint64_t gcBytes = 0;  ///< --store-gc-bytes
+    std::string spec;          ///< declarative sweep spec to read
+    std::string eventLog;      ///< JSON-lines cell/config events
+    std::string manifest;      ///< sweep manifest JSON
+    std::string csv;           ///< per-run results CSV
+    std::string portAnalysis;  ///< Figure-8 port-sensitivity CSV
 };
-
-struct OptSpec
-{
-    const char *flag;
-    const char *metavar;  ///< nullptr = boolean
-    const char *help;
-};
-
-constexpr OptSpec kOptions[] = {
-    {"--help", nullptr, "print this help and exit"},
-    {"--spec", "<path>", "declarative sweep spec (docs/SWEEP.md); "
-     "default: the full 11-config figure set"},
-    {"--suite", "<N|all>", "workloads to sweep (default 8)"},
-    {"--warmup", "<N>", "warm-up instruction budget (default 40000)"},
-    {"--instr", "<N>", "measured instruction budget (default 60000)"},
-    {"--jobs", "<N>", "worker threads for the suite build and the "
-     "sweep (default REPRO_JOBS, else hardware concurrency)"},
-    {"--store", "<dir>", "persistent result store directory (default "
-     "$REPRO_RESULT_STORE; empty = no store)"},
-    {"--event-log", "<path>", "append JSON-lines cell/config events"},
-    {"--manifest", "<path>", "write the sweep manifest JSON"},
-    {"--csv", "<path>", "write per-run results CSV"},
-    {"--port-analysis", "<path>", "write the Figure-8 repair-port "
-     "sensitivity CSV (runs a forensics pass)"},
-    {"--server", "<host:port>", "run the sweep on a resident lbpserved "
-     "instead of locally (docs/SERVER.md)"},
-    {"--trace", "<id>", "request trace id stamped on every event "
-     "record and the manifest (default: server-minted in --server "
-     "mode, off locally)"},
-    {"--store-gc", nullptr, "no sweep: garbage-collect the store by "
-     "--store-gc-age/--store-gc-bytes and print the eviction audit"},
-    {"--store-gc-age", "<secs>", "gc: evict entries older than this"},
-    {"--store-gc-bytes", "<N>", "gc: then cap the store at N bytes, "
-     "oldest first"},
-    {"--quiet", nullptr, "suppress the live progress line"},
-};
-
-void
-usage()
-{
-    std::printf("lbpsweep — concurrent figure-sweep orchestrator\n\n");
-    for (const OptSpec &o : kOptions) {
-        char left[48];
-        std::snprintf(left, sizeof(left), "  %s%s%s", o.flag,
-                      o.metavar ? " " : "", o.metavar ? o.metavar : "");
-        std::printf("%-28s%s\n", left, o.help);
-    }
-}
 
 [[noreturn]] void
 die(const std::string &msg)
 {
-    std::fprintf(stderr, "lbpsweep: %s\n", msg.c_str());
+    std::fprintf(stderr, "%s: %s\n", kTool, msg.c_str());
     std::exit(1);
 }
 
-bool
-parseOptions(int argc, char **argv, Options &opt)
+/** --suite sets the cap; 0 and "all" both select the whole suite. */
+CliBinder
+bindSuite(SweepSpec &spec)
 {
-    for (int i = 1; i < argc; ++i) {
-        const OptSpec *spec = nullptr;
-        for (const OptSpec &o : kOptions)
-            if (std::strcmp(argv[i], o.flag) == 0)
-                spec = &o;
-        if (!spec) {
-            std::fprintf(stderr, "unknown option %s\n", argv[i]);
-            usage();
-            return false;
-        }
-        const char *v = nullptr;
-        if (spec->metavar) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", argv[i]);
-                return false;
-            }
-            v = argv[++i];
-        }
-        const std::string flag = spec->flag;
-        // The counting flags share the spec grammar's strict parser.
-        const auto count = [&](std::uint64_t &out, std::uint64_t max) {
-            if (parseSpecCount(v, out, max))
+    return {[&spec](std::string_view v) {
+                if (!parseSuiteSize(v, spec.suite))
+                    return false;
+                spec.fullSuite = spec.suite == 0;
                 return true;
-            std::fprintf(stderr,
-                         "lbpsweep: %s wants an integer in [0, %llu]%s, "
-                         "got '%s'\n",
-                         spec->flag, static_cast<unsigned long long>(max),
-                         flag == "--suite" ? " or 'all'" : "", v);
-            return false;
-        };
-        constexpr unsigned u32Max = std::numeric_limits<unsigned>::max();
-        constexpr std::uint64_t u64Max =
-            std::numeric_limits<std::uint64_t>::max();
-        std::uint64_t n = 0;
-        if (flag == "--help") {
-            usage();
-            std::exit(0);
-        } else if (flag == "--spec") {
-            opt.specPath = v;
-        } else if (flag == "--suite") {
-            if (std::string(v) == "all")
-                opt.fullSuite = true;
-            else if (!count(n, u32Max))
-                return false;
-            opt.suite = static_cast<unsigned>(n);
-        } else if (flag == "--warmup") {
-            if (!count(opt.warmup, u64Max))
-                return false;
-        } else if (flag == "--instr") {
-            if (!count(opt.instrs, u64Max))
-                return false;
-        } else if (flag == "--jobs") {
-            if (!count(n, u32Max))
-                return false;
-            opt.jobs = static_cast<unsigned>(n);
-        } else if (flag == "--store") {
-            opt.storeDir = v;
-            opt.storeFromFlag = true;
-        } else if (flag == "--event-log") {
-            opt.eventLogPath = v;
-        } else if (flag == "--manifest") {
-            opt.manifestPath = v;
-        } else if (flag == "--csv") {
-            opt.csvPath = v;
-        } else if (flag == "--port-analysis") {
-            opt.portAnalysisPath = v;
-        } else if (flag == "--server") {
-            const char *colon = std::strrchr(v, ':');
-            if (!colon || !parseSpecCount(colon + 1, n, 65535) || n < 1) {
-                std::fprintf(stderr,
-                             "lbpsweep: --server wants host:port with "
-                             "port in [1, 65535], got '%s'\n",
-                             v);
-                return false;
-            }
-            opt.server = v;
-            opt.serverHost.assign(v, colon);
-            opt.serverPort = static_cast<std::uint16_t>(n);
-        } else if (flag == "--trace") {
-            opt.traceId = v;
-        } else if (flag == "--store-gc") {
-            opt.storeGc = true;
-        } else if (flag == "--store-gc-age") {
-            if (!parseSeconds(v, opt.gcAge)) {
-                std::fprintf(stderr,
-                             "lbpsweep: --store-gc-age wants a finite, "
-                             "non-negative number of seconds, got '%s'\n",
-                             v);
-                return false;
-            }
-        } else if (flag == "--store-gc-bytes") {
-            if (!count(opt.gcBytes, u64Max))
-                return false;
-        } else if (flag == "--quiet") {
-            opt.quiet = true;
-        }
-    }
-    return true;
+            },
+            "wants " + suiteSizeRange()};
 }
 
-std::ofstream
-openOrDie(const std::string &path)
+/** --server host:port: the port is the text after the last colon. */
+CliBinder
+bindServer(ServeClientOptions &server)
 {
-    std::ofstream out(path);
-    if (!out)
-        die("cannot write " + path);
-    return out;
+    return {[&server](std::string_view v) {
+                const std::size_t colon = v.rfind(':');
+                std::uint64_t port = 0;
+                if (colon == std::string_view::npos ||
+                    !parseSpecCount(v.substr(colon + 1), port, 65535) ||
+                    port < 1)
+                    return false;
+                server.host = std::string(v.substr(0, colon));
+                server.port = static_cast<std::uint16_t>(port);
+                return true;
+            },
+            "wants host:port with port in [1, 65535]"};
 }
 
 /**
@@ -244,11 +103,12 @@ openOrDie(const std::string &path)
  * keys, so cached results carry no forensics records.
  */
 void
-runPortAnalysis(const std::vector<Program> &suite, const Options &opt)
+runPortAnalysis(const std::vector<Program> &suite, const SweepSpec &spec,
+                unsigned jobs, const std::string &path)
 {
     SimConfig cfg;
-    cfg.warmupInstrs = opt.warmup;
-    cfg.measureInstrs = opt.instrs;
+    cfg.warmupInstrs = spec.warmupInstrs;
+    cfg.measureInstrs = spec.measureInstrs;
     cfg.useLocal = true;
     cfg.repair.kind = RepairKind::ForwardWalk;
     cfg.obs.forensics = true;
@@ -256,7 +116,7 @@ runPortAnalysis(const std::vector<Program> &suite, const Options &opt)
     std::printf("port analysis: forensics pass over %zu workloads "
                 "(forward-walk)...\n",
                 suite.size());
-    const SuiteResult res = runSuite(suite, cfg, opt.jobs);
+    const SuiteResult res = runSuite(suite, cfg, jobs);
 
     std::vector<const ObsRun *> obs;
     std::uint64_t records = 0;
@@ -268,12 +128,11 @@ runPortAnalysis(const std::vector<Program> &suite, const Options &opt)
     }
     const std::vector<unsigned> portCounts = {1, 2, 4, 8};
     const auto rows = portAnalysis(obs, portCounts);
-    std::ofstream out = openOrDie(opt.portAnalysisPath);
+    std::ofstream out = openOutput(kTool, path);
     writePortAnalysisCsv(out, rows);
     std::printf("%s", formatPortAnalysis(rows).c_str());
     std::printf("port analysis: %llu squash records -> %s\n",
-                static_cast<unsigned long long>(records),
-                opt.portAnalysisPath.c_str());
+                static_cast<unsigned long long>(records), path.c_str());
 }
 
 /**
@@ -282,18 +141,15 @@ runPortAnalysis(const std::vector<Program> &suite, const Options &opt)
  * so the operation leaves an audit trail on the terminal.
  */
 int
-runStoreGc(const Options &opt)
+runStoreGc(const std::string &storeDir, const StoreGcPolicy &policy)
 {
-    if (opt.storeDir.empty())
+    if (storeDir.empty())
         die("--store-gc needs a store (--store or "
             "$REPRO_RESULT_STORE)");
-    if (opt.gcAge <= 0.0 && opt.gcBytes == 0)
+    if (policy.maxAgeSeconds <= 0.0 && policy.maxBytes == 0)
         die("--store-gc needs --store-gc-age and/or "
             "--store-gc-bytes");
-    ResultStore store(opt.storeDir);
-    StoreGcPolicy policy;
-    policy.maxAgeSeconds = opt.gcAge;
-    policy.maxBytes = opt.gcBytes;
+    ResultStore store(storeDir);
     const std::vector<StoreAuditRecord> evicted = store.gc(policy);
     std::uint64_t bytes = 0;
     for (const StoreAuditRecord &rec : evicted) {
@@ -337,35 +193,22 @@ addConfigRow(TextTable &table, const std::string &name,
  * The server builds the suite; the client builds nothing.
  */
 int
-runServerMode(const Options &opt, const SweepSpec &spec,
-              const std::string &specText)
+runServerMode(ServeClientOptions copts, const SweepSpec &spec,
+              const Files &files, bool storeFlag, unsigned jobs)
 {
-    if (!opt.portAnalysisPath.empty())
+    if (!files.portAnalysis.empty())
         die("--port-analysis runs locally; drop --server");
-    if (opt.storeFromFlag)
+    if (storeFlag)
         die("--store is server-side in --server mode (lbpserved "
             "--store)");
-    if (opt.jobs)
+    if (jobs)
         std::fprintf(stderr,
                      "lbpsweep: note: --jobs is server-side in "
                      "--server mode; ignoring\n");
 
-    ServeClientOptions copts;
-    copts.host = opt.serverHost;
-    copts.port = opt.serverPort;
-    copts.specText = specText;
-    copts.suite = opt.suite;
-    copts.fullSuite = opt.fullSuite;
-    copts.warmupInstrs = opt.warmup;
-    copts.measureInstrs = opt.instrs;
-    copts.traceId = opt.traceId;
-    copts.progress = opt.quiet ? nullptr : stderr;
-
     std::ofstream eventLog;
-    if (!opt.eventLogPath.empty()) {
-        eventLog.open(opt.eventLogPath, std::ios::app);
-        if (!eventLog)
-            die("cannot write " + opt.eventLogPath);
+    if (!files.eventLog.empty()) {
+        eventLog = openOutput(kTool, files.eventLog, std::ios::app);
         copts.eventLog = &eventLog;
     }
 
@@ -374,7 +217,7 @@ runServerMode(const Options &opt, const SweepSpec &spec,
                 spec.configs.size(), suiteSize(specSuiteOptions(spec)),
                 static_cast<unsigned long long>(spec.warmupInstrs),
                 static_cast<unsigned long long>(spec.measureInstrs),
-                opt.server.c_str());
+                (copts.host + ':' + std::to_string(copts.port)).c_str());
 
     ServeSweepResult res;
     std::string error;
@@ -408,15 +251,15 @@ runServerMode(const Options &opt, const SweepSpec &spec,
                 res.counter("sweep_wall_s"),
                 res.counter("sweep_minstr_per_s"));
 
-    if (!opt.manifestPath.empty()) {
-        std::ofstream out = openOrDie(opt.manifestPath);
+    if (!files.manifest.empty()) {
+        std::ofstream out = openOutput(kTool, files.manifest);
         out << res.manifest;
-        std::printf("wrote manifest to %s\n", opt.manifestPath.c_str());
+        std::printf("wrote manifest to %s\n", files.manifest.c_str());
     }
-    if (!opt.csvPath.empty()) {
-        std::ofstream out = openOrDie(opt.csvPath);
+    if (!files.csv.empty()) {
+        std::ofstream out = openOutput(kTool, files.csv);
         out << res.csv;
-        std::printf("wrote results CSV to %s\n", opt.csvPath.c_str());
+        std::printf("wrote results CSV to %s\n", files.csv.c_str());
     }
     return 0;
 }
@@ -426,39 +269,112 @@ runServerMode(const Options &opt, const SweepSpec &spec,
 int
 main(int argc, char **argv)
 {
-    Options opt;
-    if (const char *env = std::getenv("REPRO_RESULT_STORE"))
-        opt.storeDir = env;
-    if (!parseOptions(argc, argv, opt))
-        return 1;
+    SweepSpec spec;
+    SweepOptions sweepOpts;
+    sweepOpts.progress = stderr;
+    ServeClientOptions server;  // port 0 = sweep locally
+    StoreGcPolicy gc;
+    Files files;
+    std::optional<std::string> storeFlag;
+    bool storeGc = false;
+    const CliSpec cli = {
+        kTool,
+        "lbpsweep — concurrent figure-sweep orchestrator",
+        {
+            {"--spec", nullptr, "<path>",
+             "declarative sweep spec (docs/SWEEP.md);\n"
+             "default: the full 11-config figure set",
+             cliText(files.spec)},
+            {"--suite", nullptr, "<N|all>",
+             "workloads to sweep (default 8; 0 or all =\n"
+             "the whole suite)",
+             bindSuite(spec)},
+            {"--warmup", nullptr, "<N>",
+             "warm-up instruction budget (default 40000)",
+             cliCount(spec.warmupInstrs)},
+            {"--instr", nullptr, "<N>",
+             "measured instruction budget (default 60000)",
+             cliCount(spec.measureInstrs)},
+            {"--jobs", nullptr, "<N>",
+             "worker threads for the suite build and the\n"
+             "sweep (default REPRO_JOBS, else hardware\n"
+             "concurrency)",
+             cliCount(sweepOpts.jobs)},
+            {"--store", nullptr, "<dir>",
+             "persistent result store directory (default\n"
+             "$REPRO_RESULT_STORE; empty = no store)",
+             cliText(storeFlag)},
+            {"--event-log", nullptr, "<path>",
+             "append JSON-lines cell/config events",
+             cliText(files.eventLog)},
+            {"--manifest", nullptr, "<path>",
+             "write the sweep manifest JSON", cliText(files.manifest)},
+            {"--csv", nullptr, "<path>", "write per-run results CSV",
+             cliText(files.csv)},
+            {"--port-analysis", nullptr, "<path>",
+             "write the Figure-8 repair-port sensitivity\n"
+             "CSV (runs a forensics pass)",
+             cliText(files.portAnalysis)},
+            {"--server", nullptr, "<host:port>",
+             "run the sweep on a resident lbpserved instead\n"
+             "of locally (docs/SERVER.md)",
+             bindServer(server)},
+            {"--trace", nullptr, "<id>",
+             "request trace id stamped on every event record\n"
+             "and the manifest (default: server-minted in\n"
+             "--server mode, off locally)",
+             cliText(sweepOpts.traceId)},
+            {"--store-gc", nullptr, nullptr,
+             "no sweep: garbage-collect the store by\n"
+             "--store-gc-age/--store-gc-bytes and print the\n"
+             "eviction audit",
+             cliAssign(storeGc, true)},
+            {"--store-gc-age", nullptr, "<secs>",
+             "gc: evict entries older than this",
+             cliSeconds(gc.maxAgeSeconds)},
+            {"--store-gc-bytes", nullptr, "<N>",
+             "gc: then cap the store at N bytes, oldest first",
+             cliCount(gc.maxBytes)},
+            {"--quiet", nullptr, nullptr, "suppress the live progress line",
+             cliAssign(sweepOpts.progress, nullptr)},
+        }};
+    if (const std::optional<int> rc = parseCli(cli, argc, argv))
+        return *rc;
+    const char *envStore = std::getenv("REPRO_RESULT_STORE");
+    const std::string storeDir = storeFlag.value_or(envStore ? envStore : "");
 
-    if (opt.storeGc)
-        return runStoreGc(opt);
+    if (storeGc)
+        return runStoreGc(storeDir, gc);
+
+    // The flag values ride in a server submit as fields, which the
+    // server applies before the spec text, exactly as below.
+    server.suite = spec.suite;
+    server.fullSuite = spec.fullSuite;
+    server.warmupInstrs = spec.warmupInstrs;
+    server.measureInstrs = spec.measureInstrs;
 
     // Resolve the request through the shared spec grammar
     // (sim/sweep_spec.hh) — the same code path a server submit takes.
-    SweepSpec spec;
-    spec.suite = opt.suite;
-    spec.fullSuite = opt.fullSuite;
-    spec.warmupInstrs = opt.warmup;
-    spec.measureInstrs = opt.instrs;
-    std::string specText;
-    if (!opt.specPath.empty()) {
-        std::ifstream in(opt.specPath);
+    if (!files.spec.empty()) {
+        std::ifstream in(files.spec);
         if (!in)
-            die("cannot read spec " + opt.specPath);
+            die("cannot read spec " + files.spec);
         std::ostringstream raw;
         raw << in.rdbuf();
-        specText = raw.str();
+        server.specText = raw.str();
         std::string err;
-        if (!parseSweepSpecText(specText, spec, err))
+        if (!parseSweepSpecText(server.specText, spec, err))
             die(err);
     }
     finalizeSweepSpec(spec);
-    if (!opt.server.empty())
-        return runServerMode(opt, spec, specText);
+    if (server.port) {
+        server.traceId = sweepOpts.traceId;
+        server.progress = sweepOpts.progress;
+        return runServerMode(server, spec, files, storeFlag.has_value(),
+                             sweepOpts.jobs);
+    }
 
-    const std::vector<Program> suite = buildSpecSuite(spec, opt.jobs);
+    const std::vector<Program> suite = buildSpecSuite(spec, sweepOpts.jobs);
     const std::vector<SweepConfig> &configs = spec.configs;
 
     std::printf("sweeping %zu configs x %zu workloads (%llu warm-up + "
@@ -466,22 +382,15 @@ main(int argc, char **argv)
                 configs.size(), suite.size(),
                 static_cast<unsigned long long>(spec.warmupInstrs),
                 static_cast<unsigned long long>(spec.measureInstrs),
-                resolveJobs(opt.jobs));
+                resolveJobs(sweepOpts.jobs));
 
-    ResultStore store(opt.storeDir);
+    ResultStore store(storeDir);
     std::ofstream eventLog;
-    if (!opt.eventLogPath.empty()) {
-        eventLog.open(opt.eventLogPath, std::ios::app);
-        if (!eventLog)
-            die("cannot write " + opt.eventLogPath);
+    if (!files.eventLog.empty()) {
+        eventLog = openOutput(kTool, files.eventLog, std::ios::app);
+        sweepOpts.eventLog = &eventLog;
     }
-
-    SweepOptions sweepOpts;
-    sweepOpts.jobs = opt.jobs;
-    sweepOpts.store = opt.storeDir.empty() ? nullptr : &store;
-    sweepOpts.eventLog = eventLog.is_open() ? &eventLog : nullptr;
-    sweepOpts.progress = opt.quiet ? nullptr : stderr;
-    sweepOpts.traceId = opt.traceId;
+    sweepOpts.store = storeDir.empty() ? nullptr : &store;
 
     const SweepResult res = runSweep(suite, configs, sweepOpts);
 
@@ -496,17 +405,17 @@ main(int argc, char **argv)
 
     printSweepSummary(stdout, res.stats, sweepOpts.store);
 
-    if (!opt.manifestPath.empty()) {
-        std::ofstream out = openOrDie(opt.manifestPath);
+    if (!files.manifest.empty()) {
+        std::ofstream out = openOutput(kTool, files.manifest);
         writeSweepManifest(out, res, configs);
-        std::printf("wrote manifest to %s\n", opt.manifestPath.c_str());
+        std::printf("wrote manifest to %s\n", files.manifest.c_str());
     }
-    if (!opt.csvPath.empty()) {
-        std::ofstream out = openOrDie(opt.csvPath);
+    if (!files.csv.empty()) {
+        std::ofstream out = openOutput(kTool, files.csv);
         writeSweepCsv(out, res, configs);
-        std::printf("wrote results CSV to %s\n", opt.csvPath.c_str());
+        std::printf("wrote results CSV to %s\n", files.csv.c_str());
     }
-    if (!opt.portAnalysisPath.empty())
-        runPortAnalysis(suite, opt);
+    if (!files.portAnalysis.empty())
+        runPortAnalysis(suite, spec, sweepOpts.jobs, files.portAnalysis);
     return 0;
 }
