@@ -65,8 +65,6 @@ class LocalTwoLevelPredictor : public LocalPredictor
     unsigned bhtEntries() const override { return bht_.numEntries(); }
     double storageKB() const override;
 
-    const LocalTwoLevelConfig &config() const { return cfg_; }
-
     static constexpr LocalState knownBit = 1u << 12;
 
   private:

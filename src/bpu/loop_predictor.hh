@@ -156,7 +156,6 @@ class LoopPredictor : public LocalPredictor
     unsigned bhtEntries() const override { return bht_.numEntries(); }
     double storageKB() const override;
 
-    const LoopConfig &config() const { return cfg_; }
     LoopPatternTable &pt() { return *pt_; }
 
     /**

@@ -150,7 +150,6 @@ class TagePredictor
     /** Retirement-time training with the architectural outcome. */
     void train(Addr pc, bool actual, const TagePred &pred);
 
-    const TageConfig &config() const { return cfg_; }
     double storageKB() const { return cfg_.storageKB(); }
 
     /** Number of tagged tables in use (sizes pool arenas). */

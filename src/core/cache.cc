@@ -14,7 +14,7 @@ Cache::Cache(const CacheConfig &cfg, Cache *next, unsigned mem_latency)
 }
 
 MemoryHierarchy::MemoryHierarchy(const MemoryHierarchyConfig &cfg)
-    : cfg_(cfg), llc_(cfg.llc, nullptr, cfg.memLatency),
+    : llc_(cfg.llc, nullptr, cfg.memLatency),
       l2_(cfg.l2, &llc_, cfg.memLatency),
       l1i_(cfg.l1i, &l2_, cfg.memLatency),
       l1d_(cfg.l1d, &l2_, cfg.memLatency)

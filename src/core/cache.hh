@@ -100,7 +100,6 @@ class Cache
     bool probe(Addr addr) const { return tags_.lookup(lineKey(addr)); }
 
     const Stats &stats() const { return stats_; }
-    const CacheConfig &config() const { return cfg_; }
 
   private:
     std::uint64_t lineKey(Addr addr) const
@@ -149,10 +148,8 @@ class MemoryHierarchy
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
     const Cache &llc() const { return llc_; }
-    const MemoryHierarchyConfig &config() const { return cfg_; }
 
   private:
-    MemoryHierarchyConfig cfg_;
     Cache llc_;
     Cache l2_;
     Cache l1i_;

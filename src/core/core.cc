@@ -50,13 +50,8 @@ OooCore::OooCore(const Program &prog, const SimConfig &cfg,
 {
     scheme_ = std::move(scheme);
 #ifdef LBP_AUDIT
-    if (scheme_ && cfg.audit &&
-        SpecStateAuditor::auditableKind(cfg.repair.kind)) {
-        AuditorConfig acfg;
-        acfg.panicOnViolation = cfg.auditPanic;
-        auditor_ = std::make_unique<SpecStateAuditor>(scheme_->local(),
-                                                      acfg);
-    }
+    if (scheme_ && SpecStateAuditor::auditableKind(cfg.repair.kind))
+        auditor_ = std::make_unique<SpecStateAuditor>(scheme_->local());
 #endif
 }
 
@@ -323,32 +318,14 @@ OooCore::doFlush(DynInst &br)
     ++stats_.mispredicts;
     br.mispredicted = false;
 
-    // Forensics: snapshot the repair-work counters so the per-squash
-    // record can report the walk this flush triggered as a delta (the
-    // same pre/post pattern the LBP_AUDIT coverage check uses below).
-    std::uint64_t pre_walk = 0;
-    std::uint64_t pre_writes = 0;
-    if (tracer_ && scheme_) {
-        pre_walk = scheme_->stats().walkLength.sum();
-        pre_writes = scheme_->stats().repairWrites;
-    }
-
-    // Local-predictor repair runs against the pre-squash OBQ contents.
+    // Local-predictor repair runs against the pre-squash checkpoints;
+    // the forensics record and the auditor read what it did.
+    RepairOutcome repair;
     if (scheme_) {
+        repair = scheme_->recover(br, now_);
 #ifdef LBP_AUDIT
-        const std::uint64_t pre_uncovered =
-            scheme_->stats().uncheckpointedMispredicts;
-#endif
-        scheme_->atMispredict(br, now_);
-        scheme_->atSquash(br.seq, br);
-#ifdef LBP_AUDIT
-        if (auditor_) {
-            const bool covered =
-                scheme_->stats().uncheckpointedMispredicts ==
-                pre_uncovered;
-            auditor_->onRecovery(br, scheme_->local(), covered,
-                                 scheme_->lastRepairSet());
-        }
+        if (auditor_)
+            auditor_->onRecovery(br, scheme_->local(), repair);
 #endif
     }
 
@@ -398,12 +375,8 @@ OooCore::doFlush(DynInst &br)
             stats_.wrongPathFetched - tracer_->wrongPathAtDiverge());
         rec.obqOccupancy = scheme_ ? scheme_->obqOccupancy() : 0;
         rec.robOccupancy = static_cast<std::uint32_t>(rob_.size());
-        if (scheme_) {
-            rec.walkLength = static_cast<std::uint32_t>(
-                scheme_->stats().walkLength.sum() - pre_walk);
-            rec.repairWrites = static_cast<std::uint32_t>(
-                scheme_->stats().repairWrites - pre_writes);
-        }
+        rec.walkLength = repair.walked;
+        rec.repairWrites = repair.writes;
         tracer_->squash(rec);
     }
 }

@@ -81,13 +81,6 @@ struct SimConfig
     std::uint64_t warmupInstrs = 40000;
     std::uint64_t measureInstrs = 60000;
     /**
-     * Attach the speculative-state invariant auditor to auditable
-     * repair schemes. Only honored in LBP_AUDIT=ON builds; the hooks
-     * do not exist otherwise.
-     */
-    bool audit = true;
-    bool auditPanic = false;  ///< abort on the first audit violation
-    /**
      * Observability switches (tracing / forensics). Purely
      * observational — never changes simulated behavior, so it is
      * excluded from the suite-cache config key (suite_cache.cc).

@@ -246,7 +246,7 @@ runMetrics()
 const std::vector<MetricDesc<SweepStats>> &
 sweepMetrics()
 {
-    // Manifest counter order — the sweep-smoke CI job keys on these
+    // Manifest counter order — the serve-smoke CI job keys on these
     // exact names; append, never reorder.
     static const std::vector<MetricDesc<SweepStats>> table = {
         {"sweep_cells_total", "count",

@@ -24,12 +24,11 @@ repairKindName(RepairKind kind)
 
 RepairScheme::RepairScheme(std::unique_ptr<LocalPredictor> lp,
                            const RepairConfig &cfg)
-    : lp_(std::move(lp)), cfg_(cfg), withLoop_(7, cfg.chooserInit),
+    // The WITHLOOP chooser starts distrusting the local predictor.
+    : lp_(std::move(lp)), cfg_(cfg), withLoop_(7, -4),
       updateLog_(1u << 13)
 {
     lbp_assert(lp_ != nullptr);
-    lbp_assert(cfg.chooserInit < 0);
-    lbp_assert(cfg.chooserInit >= withLoop_.min());
 }
 
 void
@@ -40,7 +39,7 @@ RepairScheme::logSpecUpdate(InstSeq seq, Addr pc)
 }
 
 const std::vector<Addr> &
-RepairScheme::pollutedScratchSince(InstSeq seq) const
+RepairScheme::pollutedSince(InstSeq seq) const
 {
     // Walk the update log backwards collecting distinct PCs updated at
     // or after the mispredicting branch. Seqs are monotonic in fetch
@@ -63,34 +62,24 @@ RepairScheme::pollutedScratchSince(InstSeq seq) const
     return distinct;
 }
 
-std::vector<Addr>
-RepairScheme::pollutedListSince(InstSeq seq) const
+void
+RepairScheme::decide(BranchRec &br, bool tage_dir) const
 {
-    return pollutedScratchSince(seq);
-}
-
-unsigned
-RepairScheme::pollutedPcsSince(InstSeq seq) const
-{
-    return static_cast<unsigned>(pollutedScratchSince(seq).size());
+    br.tageDir = tage_dir;
+    br.loopDir = br.local.dir;
+    br.usedLoop = overrides(br.local);
+    br.finalPred = br.usedLoop ? br.local.dir : tage_dir;
 }
 
 RepairScheme::PredictOutcome
 RepairScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
 {
     BranchRec &br = *di.br;
-    br.tageDir = tage_dir;
-
     const bool usable = bhtUsable(di.pc, now);
     if (!usable)
         ++stats_.deniedPredictions;
     br.local = usable ? lp_->predict(di.pc) : LocalPred{};
-    br.loopDir = br.local.dir;
-
-    const bool use = br.local.valid &&
-                     (!cfg_.useChooser || withLoop_.value() >= 0);
-    br.usedLoop = use;
-    br.finalPred = use ? br.local.dir : tage_dir;
+    decide(br, tage_dir);
 
     if (specUpdatesAtPredict()) {
         if (bhtWritable(di.pc, now)) {
@@ -102,19 +91,43 @@ RepairScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
             ++stats_.skippedSpecUpdates;
         }
     }
-    return {br.finalPred, use};
+    return {br.finalPred, br.usedLoop};
 }
 
-void
-RepairScheme::atMispredict(DynInst &di, Cycle)
+RepairOutcome
+RepairScheme::recover(DynInst &cause, Cycle now)
 {
     ++stats_.repairsTriggered;
-    stats_.repairsNeeded.sample(pollutedPcsSince(di.seq));
+    stats_.repairsNeeded.sample(pollutedSince(cause.seq).size());
+    const RepairOutcome out = repair(cause, now);
+    squash(cause);
+
+    // The stats quirks the result CSVs pin: only the walks sample a walk
+    // length, and writes/tableWrites differ for Perfect and MultiStage.
+    switch (out.action) {
+      case RepairOutcome::Action::None:
+        break;
+      case RepairOutcome::Action::Uncovered:
+        ++stats_.uncheckpointedMispredicts;
+        break;
+      case RepairOutcome::Action::Walk:
+        stats_.walkLength.sample(out.walked);
+        [[fallthrough]];
+      case RepairOutcome::Action::Restore:
+        stats_.repairWrites += out.writes;
+        stats_.writesPerRepair.sample(out.tableWrites);
+        stats_.repairCycles.sample(out.cycles);
+        break;
+    }
+    return out;
 }
 
-void
-RepairScheme::atSquash(InstSeq, const DynInst &)
+Cycle
+RepairScheme::holdBht(Cycle now, unsigned writes, unsigned per_cycle)
 {
+    const Cycle cycles = ceilDiv(writes, per_cycle);
+    busyUntil_ = std::max<Cycle>(now + 1, busyUntil_) + cycles;
+    return cycles;
 }
 
 void

@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -113,7 +114,6 @@ struct RepairConfig
      * global trust counter would just turn it off instead.
      */
     bool useChooser = false;
-    int chooserInit = -4;  ///< chooser start value when enabled
 };
 
 /** Counters every scheme maintains. */
@@ -135,10 +135,45 @@ struct RepairStats
 };
 
 /**
+ * What one RepairScheme::recover() did. The pipeline learns about a
+ * repair only from this: the misprediction-forensics record and the
+ * LBP_AUDIT auditor read it, and recover() turns it into RepairStats
+ * samples in one place.
+ */
+struct RepairOutcome
+{
+    /** How the scheme answered the misprediction. */
+    enum class Action : std::uint8_t
+    {
+        None,       ///< the scheme never repairs (no-repair, retire-update)
+        Uncovered,  ///< no checkpoint held for the cause: nothing repaired
+        Restore,    ///< state restored without an OBQ walk
+        Walk,       ///< an OBQ walk (backward, forward, multi-stage)
+    };
+
+    Action action = Action::None;
+    unsigned walked = 0;  ///< OBQ entries the walk examined
+    /** BHT writes through the repair ports (RepairStats::repairWrites).
+     *  MultiStage's include its copies into BHT-TAGE; Perfect's
+     *  instantaneous oracle restore spends none. */
+    unsigned writes = 0;
+    /** Writes into the repaired table (RepairStats::writesPerRepair). */
+    unsigned tableWrites = 0;
+    Cycle cycles = 0;  ///< until the repaired tables are whole again
+    /** LimitedPc's declared coverage: the PCs its repair wrote, viewed
+     *  in the scheme's own payload ring, so read it before the scheme's
+     *  next hook. Empty for the schemes that repair every polluted PC. */
+    std::span<const Addr> repairSet{};
+
+    bool covered() const { return action != Action::Uncovered; }
+};
+
+/**
  * Base class: implements the common fetch-stage policy (lookup,
- * WITHLOOP-gated override, speculative update) and the Figure-8
- * pollution accounting. The default misprediction action is "do
- * nothing", i.e. the NoRepair scheme.
+ * WITHLOOP-gated override, speculative update), the Figure-8
+ * pollution accounting and the repair accounting. A scheme supplies
+ * its repair through repair() and squash(); the default repairs
+ * nothing, i.e. the NoRepair scheme.
  */
 class RepairScheme
 {
@@ -179,11 +214,12 @@ class RepairScheme
         return {};
     }
 
-    /** Execute-time resolution of a mispredicted conditional branch. */
-    virtual void atMispredict(DynInst &di, Cycle now);
-
-    /** Pipeline squash: instructions with seq > @p kept_seq vanish. */
-    virtual void atSquash(InstSeq kept_seq, const DynInst &cause);
+    /**
+     * Execute-time recovery of a mispredicted conditional branch: the
+     * scheme repairs the BHT from its pre-squash checkpoints, then
+     * drops the checkpoints of the squashed younger instructions.
+     */
+    RepairOutcome recover(DynInst &cause, Cycle now);
 
     /** Retirement of a conditional branch: training + housekeeping. */
     virtual void atRetire(DynInst &di);
@@ -197,19 +233,6 @@ class RepairScheme
      * only — the misprediction-forensics channel records it per squash.
      */
     virtual unsigned obqOccupancy() const { return 0; }
-
-    /**
-     * PCs the scheme's most recent atMispredict() claimed to repair,
-     * or nullptr when the scheme repairs every polluted PC (the walks,
-     * snapshot, multi-stage). LimitedPc declares its M-entry payload
-     * here so the LBP_AUDIT checker can count pollution outside the
-     * set as a declared gap instead of asserting on it (section 3.3's
-     * divergence-by-design).
-     */
-    virtual const std::vector<Addr> *lastRepairSet() const
-    {
-        return nullptr;
-    }
 
     /**
      * True when the checkpointed local state is read and written at
@@ -227,9 +250,21 @@ class RepairScheme
     virtual double localStorageKB() const { return lp_->storageKB(); }
 
     const RepairStats &stats() const { return stats_; }
-    const RepairConfig &config() const { return cfg_; }
 
   protected:
+    /** The repair proper, run against the pre-squash checkpoints. The
+     *  default repairs nothing (no-repair, retire-update). */
+    virtual RepairOutcome
+    repair(DynInst &cause, Cycle now)
+    {
+        (void)cause;
+        (void)now;
+        return {};
+    }
+
+    /** Drop the checkpoints of instructions younger than @p cause. */
+    virtual void squash(const DynInst &cause) { (void)cause; }
+
     /** Can the BHT serve a prediction for @p pc right now? */
     virtual bool
     bhtUsable(Addr pc, Cycle now) const
@@ -257,6 +292,18 @@ class RepairScheme
     /** Whether this scheme speculatively updates the BHT at predict. */
     virtual bool specUpdatesAtPredict() const { return true; }
 
+    /** Whether a valid local lookup overrides TAGE: the one override
+     *  gate, with the optional WITHLOOP chooser. */
+    bool
+    overrides(const LocalPred &lookup) const
+    {
+        return lookup.valid && (!cfg_.useChooser || withLoop_.value() >= 0);
+    }
+
+    /** Fetch-stage direction from br.local and @p tage_dir: fills
+     *  tageDir, loopDir, usedLoop and finalPred. */
+    void decide(BranchRec &br, bool tage_dir) const;
+
     /** Writes-per-cycle a repair can sustain. */
     unsigned
     repairThroughput() const
@@ -265,23 +312,33 @@ class RepairScheme
                                      cfg_.ports.bhtWritePorts));
     }
 
+    static Cycle
+    ceilDiv(std::uint64_t work, unsigned per_cycle)
+    {
+        return (work + per_cycle - 1) / per_cycle;
+    }
+
+    /**
+     * Hold the BHT for a repair of @p writes writes at @p per_cycle: it
+     * starts the cycle after @p now, or when the repair in flight ends,
+     * and busyUntil_ becomes the cycle it ends. Returns its cycles.
+     */
+    Cycle holdBht(Cycle now, unsigned writes, unsigned per_cycle);
+
     /** Record a speculative update for Figure-8 pollution accounting. */
     void logSpecUpdate(InstSeq seq, Addr pc);
 
-    /** Distinct PCs speculatively updated after @p seq (Figure 8). */
-    unsigned pollutedPcsSince(InstSeq seq) const;
-
-    /** The same set, as a list (LimitedPc invalidation ablation). */
-    std::vector<Addr> pollutedListSince(InstSeq seq) const;
+    /** Distinct PCs speculatively updated at or after @p seq (Figure
+     *  8), in a scratch list that the next call overwrites. */
+    const std::vector<Addr> &pollutedSince(InstSeq seq) const;
 
     std::unique_ptr<LocalPredictor> lp_;
     RepairConfig cfg_;
     RepairStats stats_;
     SignedSatCounter withLoop_;
+    Cycle busyUntil_ = 0;  ///< the repaired table is held until then
 
   private:
-    const std::vector<Addr> &pollutedScratchSince(InstSeq seq) const;
-
     /** Ring of recent speculative updates (seq, pc). */
     std::vector<std::pair<InstSeq, Addr>> updateLog_;
     std::size_t updateLogPos_ = 0;

@@ -11,11 +11,7 @@ namespace {
 /** ROB entries charged for per-instruction repair baggage (Table 2/3). */
 constexpr unsigned robEntriesForStorage = 224;
 
-Cycle
-ceilDiv(std::uint64_t work, unsigned per_cycle)
-{
-    return (work + per_cycle - 1) / per_cycle;
-}
+using Action = RepairOutcome::Action;
 
 } // namespace
 
@@ -51,15 +47,14 @@ PerfectRepairScheme::atTruePathFetch(const DynInst &di)
         oracle_->specUpdate(di.pc, di.actualDir);
 }
 
-void
-PerfectRepairScheme::atMispredict(DynInst &di, Cycle now)
+RepairOutcome
+PerfectRepairScheme::repair(DynInst &, Cycle)
 {
-    RepairScheme::atMispredict(di, now);
     // Instant, unbounded restore: the shadow table already reflects the
-    // architectural path up to and including this branch.
+    // architectural path up to and including this branch. It spends no
+    // repair port, so it counts no port writes.
     lp_->restoreBht(oracle_->snapshotBht());
-    stats_.writesPerRepair.sample(lp_->bhtEntries());
-    stats_.repairCycles.sample(0);
+    return {.action = Action::Restore, .tableWrites = lp_->bhtEntries()};
 }
 
 // ---------------------------------------------------------------------
@@ -71,6 +66,8 @@ WalkSchemeBase::WalkSchemeBase(std::unique_ptr<LocalPredictor> lp,
     : RepairScheme(std::move(lp), cfg),
       obq_(cfg.ports.entries, coalesce)
 {
+    // One write per PC, plus a coalesced cause's own: never reallocates.
+    repaired_.reserve(cfg.ports.entries + 1);
 }
 
 void
@@ -100,9 +97,40 @@ WalkSchemeBase::checkpoint(DynInst &di, Cycle)
 }
 
 void
-WalkSchemeBase::atSquash(InstSeq kept_seq, const DynInst &cause)
+WalkSchemeBase::squash(const DynInst &cause)
 {
-    obq_.squashYoungerThan(kept_seq, cause.pc, cause.br->local.preState);
+    obq_.squashYoungerThan(cause.seq, cause.pc, cause.br->local.preState);
+}
+
+unsigned
+WalkSchemeBase::forwardWalk(const DynInst &cause)
+{
+    const BranchRec &br = *cause.br;
+    lp_->setAllRepairBits();
+    repaired_.clear();
+    const auto rewrite = [&](Addr pc, LocalState st) {
+        if (!lp_->testClearRepairBit(pc))
+            return;
+        lp_->writeState(pc, st);
+        repaired_.push_back(pc);
+    };
+
+    std::uint64_t begin = std::max(br.obqId, obq_.head());
+    if (br.checkpointed && br.mergedEntry) {
+        rewrite(cause.pc,
+                lp_->advanceState(br.local.preState, cause.actualDir));
+        begin = br.obqId + 1;
+    }
+    unsigned walked = 0;
+    for (std::uint64_t id = begin; id < obq_.tail(); ++id) {
+        ++walked;
+        const Obq::Entry &e = obq_.at(id);
+        const bool own = br.checkpointed && id == br.obqId &&
+                         e.pc == cause.pc;
+        rewrite(e.pc, own ? lp_->advanceState(e.preState, cause.actualDir)
+                          : e.preState);
+    }
+    return walked;
 }
 
 void
@@ -140,47 +168,39 @@ BackwardWalkScheme::bhtUsable(Addr, Cycle now) const
     return now >= busyUntil_;
 }
 
-void
-BackwardWalkScheme::atMispredict(DynInst &di, Cycle now)
+RepairOutcome
+BackwardWalkScheme::repair(DynInst &cause, Cycle now)
 {
-    RepairScheme::atMispredict(di, now);
-    if (di.br->obqId == invalidId) {
-        ++stats_.uncheckpointedMispredicts;
-        return;
-    }
+    if (cause.br->obqId == invalidId)
+        return {.action = Action::Uncovered};
 
     // Youngest entry first, down to (and including) the mispredicting
     // branch. Duplicate PCs get rewritten on every occurrence; the last
     // write (the oldest instance's pre-state) is the correct one.
     unsigned walked = 0;
-    unsigned writes = 0;
-    const std::uint64_t begin = std::max(di.br->obqId, obq_.head());
+    const std::uint64_t begin = std::max(cause.br->obqId, obq_.head());
     for (std::uint64_t id = obq_.tail(); id-- > begin;) {
         const Obq::Entry &e = obq_.at(id);
         lp_->writeState(e.pc, e.preState);
         ++walked;
-        ++writes;
     }
+    unsigned writes = walked;
 
     // Step 7 (section 2.4): fold in the branch's own resolution; only
     // possible when this branch's pre-state was actually checkpointed.
-    if (di.br->checkpointed) {
+    if (cause.br->checkpointed) {
         bool present = false;
-        const LocalState st = lp_->readState(di.pc, &present);
+        const LocalState st = lp_->readState(cause.pc, &present);
         if (present) {
-            lp_->writeState(di.pc, lp_->advanceState(st, di.actualDir));
+            lp_->writeState(cause.pc,
+                            lp_->advanceState(st, cause.actualDir));
             ++writes;
         }
     }
 
-    const Cycle start = std::max<Cycle>(now + 1, busyUntil_);
-    const Cycle cycles = ceilDiv(writes, repairThroughput());
-    busyUntil_ = start + cycles;
-
-    stats_.repairWrites += writes;
-    stats_.walkLength.sample(walked);
-    stats_.writesPerRepair.sample(writes);
-    stats_.repairCycles.sample(cycles);
+    const Cycle cycles = holdBht(now, writes, repairThroughput());
+    return {.action = Action::Walk, .walked = walked, .writes = writes,
+            .tableWrites = writes, .cycles = cycles};
 }
 
 // ---------------------------------------------------------------------
@@ -198,74 +218,27 @@ ForwardWalkScheme::bhtUsable(Addr pc, Cycle now) const
 {
     // Entries outside the active walk are usable immediately; walked
     // entries become usable the cycle their repair write lands.
-    if (now >= busyUntil_) {
-        if (!pendingRepair_.empty())
-            pendingRepair_.clear();
+    if (now >= busyUntil_)
         return true;
-    }
-    const auto it = pendingRepair_.find(pc);
-    if (it == pendingRepair_.end())
+    const auto it = std::find(repaired_.begin(), repaired_.end(), pc);
+    if (it == repaired_.end())
         return true;
-    if (now >= it->second) {
-        pendingRepair_.erase(it);
-        return true;
-    }
-    return false;
+    const auto nth_write = static_cast<std::uint64_t>(
+        it - repaired_.begin() + 1);
+    return now >= walkStart_ + ceilDiv(nth_write, repairThroughput());
 }
 
-void
-ForwardWalkScheme::atMispredict(DynInst &di, Cycle now)
+RepairOutcome
+ForwardWalkScheme::repair(DynInst &cause, Cycle now)
 {
-    RepairScheme::atMispredict(di, now);
-    if (di.br->obqId == invalidId) {
-        ++stats_.uncheckpointedMispredicts;
-        return;
-    }
-
-    lp_->setAllRepairBits();
-    pendingRepair_.clear();
-
-    const unsigned tput = repairThroughput();
-    const Cycle start = std::max<Cycle>(now + 1, busyUntil_);
-    unsigned walked = 0;
-    unsigned writes = 0;
-
-    std::uint64_t begin = std::max(di.br->obqId, obq_.head());
-    if (di.br->checkpointed && di.br->mergedEntry) {
-        // This branch shares a coalesced entry: repair its PC from the
-        // state carried with the instruction (section 3.1), then walk
-        // the strictly-younger entries.
-        if (lp_->testClearRepairBit(di.pc)) {
-            lp_->writeState(di.pc, lp_->advanceState(
-                                       di.br->local.preState,
-                                       di.actualDir));
-            ++writes;
-            pendingRepair_[di.pc] = start + ceilDiv(writes, tput);
-        }
-        begin = di.br->obqId + 1;
-    }
-
-    for (std::uint64_t id = begin; id < obq_.tail(); ++id) {
-        ++walked;
-        const Obq::Entry &e = obq_.at(id);
-        // The repair bit guarantees one write per PC: the first (i.e.
-        // oldest) instance wins, which is the architectural pre-state.
-        if (!lp_->testClearRepairBit(e.pc))
-            continue;
-        LocalState st = e.preState;
-        if (di.br->checkpointed && id == di.br->obqId && e.pc == di.pc)
-            st = lp_->advanceState(st, di.actualDir);
-        lp_->writeState(e.pc, st);
-        ++writes;
-        pendingRepair_[e.pc] = start + ceilDiv(writes, tput);
-    }
-
-    busyUntil_ = start + ceilDiv(writes, tput);
-
-    stats_.repairWrites += writes;
-    stats_.walkLength.sample(walked);
-    stats_.writesPerRepair.sample(writes);
-    stats_.repairCycles.sample(busyUntil_ - start);
+    if (cause.br->obqId == invalidId)
+        return {.action = Action::Uncovered};
+    const unsigned walked = forwardWalk(cause);
+    const auto writes = static_cast<unsigned>(repaired_.size());
+    const Cycle cycles = holdBht(now, writes, repairThroughput());
+    walkStart_ = busyUntil_ - cycles;
+    return {.action = Action::Walk, .walked = walked, .writes = writes,
+            .tableWrites = writes, .cycles = cycles};
 }
 
 // ---------------------------------------------------------------------
@@ -287,62 +260,49 @@ SnapshotScheme::bhtUsable(Addr, Cycle now) const
 void
 SnapshotScheme::checkpoint(DynInst &di, Cycle)
 {
-    if (tail_ - head_ == ring_.size()) {
-        // Oldest snapshot evicted; a misprediction older than the
-        // window can no longer be repaired.
-        ++head_;
-        ++evictions_;
-    }
-    Snap &s = ring_[tail_ % ring_.size()];
+    // A full queue evicts its oldest snapshot; a misprediction older
+    // than the window can no longer be repaired.
+    if (ring_.full())
+        ring_.dropOldest();
+    const std::uint64_t id = ring_.push();
+    Snap &s = ring_.at(id);
     s.seq = di.seq;
     s.data = lp_->snapshotBht();
-    di.br->snapId = tail_++;
+    di.br->snapId = id;
     di.br->checkpointed = true;
 }
 
-void
-SnapshotScheme::atMispredict(DynInst &di, Cycle now)
+RepairOutcome
+SnapshotScheme::repair(DynInst &cause, Cycle now)
 {
-    RepairScheme::atMispredict(di, now);
-    if (!di.br->checkpointed || di.br->snapId < head_ ||
-        di.br->snapId >= tail_) {
-        ++stats_.uncheckpointedMispredicts;
-        return;
-    }
+    if (!cause.br->checkpointed || !ring_.live(cause.br->snapId))
+        return {.action = Action::Uncovered};
 
-    lp_->restoreBht(ring_[di.br->snapId % ring_.size()].data);
+    lp_->restoreBht(ring_.at(cause.br->snapId).data);
     bool present = false;
-    const LocalState st = lp_->readState(di.pc, &present);
+    const LocalState st = lp_->readState(cause.pc, &present);
     if (present)
-        lp_->writeState(di.pc, lp_->advanceState(st, di.actualDir));
+        lp_->writeState(cause.pc, lp_->advanceState(st, cause.actualDir));
 
     // Restoring a snapshot rewrites the whole BHT through the limited
     // ports; the table is unavailable until done.
     const unsigned writes = lp_->bhtEntries() + 1;
-    const Cycle start = std::max<Cycle>(now + 1, busyUntil_);
-    const Cycle cycles = ceilDiv(writes, repairThroughput());
-    busyUntil_ = start + cycles;
-
-    stats_.repairWrites += writes;
-    stats_.writesPerRepair.sample(writes);
-    stats_.repairCycles.sample(cycles);
+    const Cycle cycles = holdBht(now, writes, repairThroughput());
+    return {.action = Action::Restore, .writes = writes,
+            .tableWrites = writes, .cycles = cycles};
 }
 
 void
-SnapshotScheme::atSquash(InstSeq kept_seq, const DynInst &)
+SnapshotScheme::squash(const DynInst &cause)
 {
-    while (tail_ > head_ &&
-           ring_[(tail_ - 1) % ring_.size()].seq > kept_seq) {
-        --tail_;
-    }
+    ring_.squashYoungerThan(cause.seq);
 }
 
 void
 SnapshotScheme::atRetire(DynInst &di)
 {
     RepairScheme::atRetire(di);
-    while (head_ < tail_ && ring_[head_ % ring_.size()].seq <= di.seq)
-        ++head_;
+    ring_.retireUpTo(di.seq);
 }
 
 double
@@ -350,7 +310,7 @@ SnapshotScheme::storageKB() const
 {
     // Each snapshot stores every BHT entry's state+tag (~13+8 bits).
     const double bits_per_snap = lp_->bhtEntries() * 21.0;
-    return static_cast<double>(ring_.size()) * bits_per_snap / 8192.0 +
+    return static_cast<double>(ring_.capacity()) * bits_per_snap / 8192.0 +
            robEntriesForStorage * 6.0 / 8192.0;
 }
 
@@ -364,18 +324,6 @@ LimitedPcScheme::LimitedPcScheme(std::unique_ptr<LocalPredictor> lp,
       payloadRing_(1u << payloadRingLog)
 {
     lbp_assert(cfg.limitedM >= 1 && cfg.limitedM <= maxM);
-    lastRepairSet_.reserve(maxM);
-}
-
-bool
-LimitedPcScheme::bhtUsable(Addr, Cycle) const
-{
-    // Limited-PC repair writes its M entries through dedicated write
-    // ports (Table 3: 0 read / M write) in a deterministic one or two
-    // cycles that overlap the flush shadow, so the prediction path is
-    // never blocked — that determinism is the technique's selling
-    // point (section 3.3).
-    return true;
 }
 
 void
@@ -401,9 +349,10 @@ LimitedPcScheme::checkpoint(DynInst &di, Cycle)
         if (p.count >= m)
             return;
         for (unsigned i = 0; i < p.count; ++i)
-            if (p.pcs[i].first == pc)
+            if (p.pcs[i] == pc)
                 return;
-        p.pcs[p.count++] = {pc, st};
+        p.pcs[p.count] = pc;
+        p.states[p.count++] = st;
     };
 
     // 1. The branch always repairs itself.
@@ -439,52 +388,43 @@ LimitedPcScheme::checkpoint(DynInst &di, Cycle)
     noteRecentUpdate(di.pc);
 }
 
-void
-LimitedPcScheme::atMispredict(DynInst &di, Cycle now)
+RepairOutcome
+LimitedPcScheme::repair(DynInst &cause, Cycle)
 {
-    RepairScheme::atMispredict(di, now);
-    lastRepairSet_.clear();
     const Payload &p =
-        payloadRing_[di.seq & (payloadRing_.size() - 1)];
-    if (!di.br->checkpointed || p.seq != di.seq) {
-        ++stats_.uncheckpointedMispredicts;
-        return;
-    }
+        payloadRing_[cause.seq & (payloadRing_.size() - 1)];
+    if (!cause.br->checkpointed || p.seq != cause.seq)
+        return {.action = Action::Uncovered};
 
     for (unsigned i = 0; i < p.count; ++i) {
-        const auto &[pc, st] = p.pcs[i];
-        if (pc == di.pc)
-            lp_->writeState(pc, lp_->advanceState(st, di.actualDir));
-        else
-            lp_->writeState(pc, st);
-        lastRepairSet_.push_back(pc);
+        const Addr pc = p.pcs[i];
+        lp_->writeState(pc, pc == cause.pc
+                                ? lp_->advanceState(p.states[i],
+                                                    cause.actualDir)
+                                : p.states[i]);
     }
+    const std::span<const Addr> repaired(p.pcs.data(), p.count);
 
     if (cfg_.limitedInvalidate) {
         // Ablation policy: polluted-but-unrepaired PCs are invalidated
-        // so they stop overriding until they re-learn.
-        // (The paper found leave-as-is better; section 3.3.)
-        // Approximated via the pollution log.
-        // Note: invalidation of repaired PCs is avoided.
-        for (Addr pc : pollutedListSince(di.seq)) {
-            bool repaired = false;
-            for (unsigned i = 0; i < p.count; ++i)
-                if (p.pcs[i].first == pc)
-                    repaired = true;
-            if (!repaired)
+        // so they stop overriding until they re-learn (the paper found
+        // leave-as-is better; section 3.3). Approximated via the
+        // pollution log.
+        for (Addr pc : pollutedSince(cause.seq))
+            if (std::find(repaired.begin(), repaired.end(), pc) ==
+                repaired.end())
                 lp_->invalidateEntry(pc);
-        }
     }
 
+    // The M entries go through dedicated write ports (Table 3: 0 read /
+    // M write) in a deterministic one or two cycles that overlap the
+    // flush shadow, so the prediction path is never blocked — that
+    // determinism is the technique's selling point (section 3.3).
     const unsigned writes = p.count;
-    const unsigned tput = std::max(1u, cfg_.ports.bhtWritePorts);
-    const Cycle start = std::max<Cycle>(now + 1, busyUntil_);
-    const Cycle cycles = ceilDiv(writes, tput);
-    busyUntil_ = start + cycles;
-
-    stats_.repairWrites += writes;
-    stats_.writesPerRepair.sample(writes);
-    stats_.repairCycles.sample(cycles);
+    return {.action = Action::Restore, .writes = writes,
+            .tableWrites = writes,
+            .cycles = ceilDiv(writes, std::max(1u, cfg_.ports.bhtWritePorts)),
+            .repairSet = repaired};
 }
 
 void
@@ -522,11 +462,9 @@ FutureFileScheme::FutureFileScheme(std::unique_ptr<LocalPredictor> lp,
 }
 
 RepairScheme::PredictOutcome
-FutureFileScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
+FutureFileScheme::atPredict(DynInst &di, bool tage_dir, Cycle)
 {
-    (void)now;
     BranchRec &br = *di.br;
-    br.tageDir = tage_dir;
 
     // Associative search of the youngest ffWindow entries for this PC;
     // a hit yields the speculative state, otherwise fall back to the
@@ -534,9 +472,9 @@ FutureFileScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
     bool known = false;
     LocalState state = 0;
     const std::uint64_t window =
-        std::min<std::uint64_t>(tail_ - head_, cfg_.ffWindow);
+        std::min<std::uint64_t>(ring_.size(), cfg_.ffWindow);
     for (std::uint64_t i = 0; i < window; ++i) {
-        const Entry &e = slot(tail_ - 1 - i);
+        const Entry &e = ring_.at(ring_.tail() - 1 - i);
         if (e.pc == di.pc) {
             known = true;
             state = e.state;
@@ -547,49 +485,39 @@ FutureFileScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
         state = lp_->readState(di.pc, &known);
 
     br.local = lp_->predictFrom(di.pc, state, known);
-    br.loopDir = br.local.dir;
-    const bool use = br.local.valid &&
-                     (!cfg_.useChooser || withLoop_.value() >= 0);
-    br.usedLoop = use;
-    br.finalPred = use ? br.local.dir : tage_dir;
+    decide(br, tage_dir);
 
     // Append the post-update speculative state; on overflow the PC is
     // simply untracked (reads will see stale architectural state).
-    if (tail_ - head_ < ring_.size()) {
-        Entry &e = slot(tail_);
+    if (!ring_.full()) {
+        br.obqId = ring_.push();
+        Entry &e = ring_.at(br.obqId);
         e.pc = di.pc;
         e.state = lp_->advanceState(state, br.finalPred);
         e.seq = di.seq;
-        br.obqId = tail_++;
         br.checkpointed = true;
     }
     logSpecUpdate(di.seq, di.pc);
-    return {br.finalPred, use};
+    return {br.finalPred, br.usedLoop};
 }
 
-void
-FutureFileScheme::atMispredict(DynInst &di, Cycle now)
+RepairOutcome
+FutureFileScheme::repair(DynInst &cause, Cycle)
 {
-    RepairScheme::atMispredict(di, now);
-    if (!di.br->checkpointed || di.br->obqId < head_) {
-        ++stats_.uncheckpointedMispredicts;
-        return;
-    }
+    if (!cause.br->checkpointed || cause.br->obqId < ring_.head())
+        return {.action = Action::Uncovered};
     // O(1) repair: drop everything younger and rewrite this branch's
     // own entry with its resolved outcome.
-    tail_ = di.br->obqId + 1;
-    Entry &e = slot(di.br->obqId);
-    e.state = lp_->advanceState(di.br->local.preState, di.actualDir);
-    stats_.repairWrites += 1;
-    stats_.writesPerRepair.sample(1);
-    stats_.repairCycles.sample(0);
+    ring_.truncate(cause.br->obqId + 1);
+    ring_.at(cause.br->obqId).state =
+        lp_->advanceState(cause.br->local.preState, cause.actualDir);
+    return {.action = Action::Restore, .writes = 1, .tableWrites = 1};
 }
 
 void
-FutureFileScheme::atSquash(InstSeq kept_seq, const DynInst &)
+FutureFileScheme::squash(const DynInst &cause)
 {
-    while (tail_ > head_ && slot(tail_ - 1).seq > kept_seq)
-        --tail_;
+    ring_.squashYoungerThan(cause.seq);
 }
 
 void
@@ -599,8 +527,7 @@ FutureFileScheme::atRetire(DynInst &di)
     // The architectural BHT is written at retirement, and retired
     // entries leave the queue.
     lp_->specUpdate(di.pc, di.actualDir);
-    while (head_ < tail_ && slot(head_).seq <= di.seq)
-        ++head_;
+    ring_.retireUpTo(di.seq);
 }
 
 double
@@ -608,7 +535,7 @@ FutureFileScheme::storageKB() const
 {
     // Same 76-bit entries as the OBQ, plus the comparators' cost is
     // power, not storage.
-    return static_cast<double>(ring_.size()) * 76.0 / 8192.0;
+    return static_cast<double>(ring_.capacity()) * 76.0 / 8192.0;
 }
 
 // ---------------------------------------------------------------------
@@ -618,8 +545,8 @@ FutureFileScheme::storageKB() const
 MultiStageScheme::MultiStageScheme(std::unique_ptr<LocalPredictor> lp,
                                    std::unique_ptr<LocalPredictor> bht_tage,
                                    bool shared_pt, const RepairConfig &cfg)
-    : RepairScheme(std::move(lp), cfg), bhtTage_(std::move(bht_tage)),
-      sharedPt_(shared_pt), obq_(cfg.ports.entries, cfg.coalesce)
+    : WalkSchemeBase(std::move(lp), cfg, cfg.coalesce),
+      bhtTage_(std::move(bht_tage)), sharedPt_(shared_pt)
 {
     lbp_assert(bhtTage_ != nullptr);
 }
@@ -628,19 +555,11 @@ RepairScheme::PredictOutcome
 MultiStageScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
 {
     BranchRec &br = *di.br;
-    br.tageDir = tage_dir;
-
     const bool usable = !tageBusy(now);
     if (!usable)
         ++stats_.deniedPredictions;
-    const LocalPred lp = usable ? bhtTage_->predict(di.pc) : LocalPred{};
-    br.local = lp;
-    br.loopDir = lp.dir;
-
-    const bool use = lp.valid &&
-                     (!cfg_.useChooser || withLoop_.value() >= 0);
-    br.usedLoop = use;
-    br.finalPred = use ? lp.dir : tage_dir;
+    br.local = usable ? bhtTage_->predict(di.pc) : LocalPred{};
+    decide(br, tage_dir);
 
     // BHT-TAGE is speculatively updated but never checkpointed; during
     // a repair period incoming PCs have their valid bits reset instead
@@ -650,7 +569,7 @@ MultiStageScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
     else
         bhtTage_->specUpdate(di.pc, br.finalPred);
 
-    return {br.finalPred, use};
+    return {br.finalPred, br.usedLoop};
 }
 
 RepairScheme::AllocOutcome
@@ -668,8 +587,7 @@ MultiStageScheme::atAlloc(DynInst &di, Cycle now)
     }
 
     const LocalPred lp = lp_->predict(di.pc);
-    const bool use = lp.valid &&
-                     (!cfg_.useChooser || withLoop_.value() >= 0);
+    const bool use = overrides(lp);
 
     if (use && lp.dir != br.finalPred && !di.wrongPath) {
         // Deferred override: resteer the pipeline from the alloc stage.
@@ -688,131 +606,62 @@ MultiStageScheme::atAlloc(DynInst &di, Cycle now)
     br.local = lp;
     br.loopDir = lp.dir;
 
-    br.obqId = invalidId;
-    br.checkpointed = false;
-    br.mergedEntry = false;
-    if (lp.bhtHit) {
-        bool merged = false;
-        const std::uint64_t id =
-            obq_.push(di.pc, lp.preState, di.seq, &merged);
-        if (id != invalidId) {
-            br.obqId = id;
-            br.checkpointed = true;
-            br.mergedEntry = merged;
-        }
-    } else if (!obq_.full()) {
-        br.obqId = obq_.tail();
-    }
-
+    checkpoint(di, now);
     lp_->specUpdate(di.pc, br.finalPred);
     br.specUpdated = true;
     logSpecUpdate(di.seq, di.pc);
     return out;
 }
 
-void
-MultiStageScheme::atMispredict(DynInst &di, Cycle now)
+RepairOutcome
+MultiStageScheme::repair(DynInst &cause, Cycle now)
 {
-    RepairScheme::atMispredict(di, now);
-    if (di.br->obqId == invalidId) {
-        ++stats_.uncheckpointedMispredicts;
-        return;
-    }
+    if (cause.br->obqId == invalidId)
+        return {.action = Action::Uncovered};
 
     // Phase 1: forward-walk BHT-Defer from the OBQ. Defer's own 4
     // prediction-side write ports double as repair ports (no extra
     // ports: it is not predicting while fetch refills the pipe).
-    lp_->setAllRepairBits();
-    const unsigned tput =
-        std::max(1u, std::min(cfg_.ports.readPorts, 4u));
-    unsigned walked = 0;
-    unsigned writes = 0;
-    std::vector<Addr> repaired;
-
-    std::uint64_t begin = std::max(di.br->obqId, obq_.head());
-    if (di.br->checkpointed && di.br->mergedEntry) {
-        if (lp_->testClearRepairBit(di.pc)) {
-            lp_->writeState(di.pc,
-                            lp_->advanceState(di.br->local.preState,
-                                              di.actualDir));
-            ++writes;
-            repaired.push_back(di.pc);
-        }
-        begin = di.br->obqId + 1;
-    }
-    for (std::uint64_t id = begin; id < obq_.tail(); ++id) {
-        ++walked;
-        const Obq::Entry &e = obq_.at(id);
-        if (!lp_->testClearRepairBit(e.pc))
-            continue;
-        LocalState st = e.preState;
-        if (di.br->checkpointed && id == di.br->obqId && e.pc == di.pc)
-            st = lp_->advanceState(st, di.actualDir);
-        lp_->writeState(e.pc, st);
-        ++writes;
-        repaired.push_back(e.pc);
-    }
-
-    const Cycle start = std::max<Cycle>(now + 1, deferBusyUntil_);
-    deferBusyUntil_ = start + ceilDiv(writes, tput);
+    const unsigned walked = forwardWalk(cause);
+    const auto writes = static_cast<unsigned>(repaired_.size());
+    const Cycle defer_cycles = holdBht(
+        now, writes, std::max(1u, std::min(cfg_.ports.readPorts, 4u)));
 
     // Phase 2: copy the repaired PCs into BHT-TAGE through its own
     // prediction ports (4/cycle); it declines predictions meanwhile.
-    for (Addr pc : repaired) {
+    for (Addr pc : repaired_) {
         bool present = false;
         const LocalState st = lp_->readState(pc, &present);
         if (present)
             bhtTage_->writeState(pc, st);
     }
-    tageBusyUntil_ =
-        deferBusyUntil_ +
-        ceilDiv(static_cast<unsigned>(repaired.size()), 4u);
+    const Cycle copy_cycles = ceilDiv(writes, 4u);
+    tageBusyUntil_ = busyUntil_ + copy_cycles;
 
-    stats_.repairWrites += writes + repaired.size();
-    stats_.walkLength.sample(walked);
-    stats_.writesPerRepair.sample(writes);
-    stats_.repairCycles.sample(tageBusyUntil_ - start);
-}
-
-void
-MultiStageScheme::atSquash(InstSeq kept_seq, const DynInst &cause)
-{
-    obq_.squashYoungerThan(kept_seq, cause.pc, cause.br->local.preState);
+    return {.action = Action::Walk, .walked = walked,
+            .writes = 2 * writes, .tableWrites = writes,
+            .cycles = defer_cycles + copy_cycles};
 }
 
 void
 MultiStageScheme::atRetire(DynInst &di)
 {
-    lp_->retireTrain(di.pc, di.actualDir);
-    if (!sharedPt_)
+    WalkSchemeBase::atRetire(di);
+    // A split PT gives BHT-TAGE its own pattern table to train.
+    if (!sharedPt_) {
         bhtTage_->retireTrain(di.pc, di.actualDir);
-
-    BranchRec &br = *di.br;
-    if (br.local.predictable) {
-        lp_->predictionFeedback(di.pc, br.loopDir, di.actualDir);
-        if (!sharedPt_)
-            bhtTage_->predictionFeedback(di.pc, br.loopDir,
+        if (di.br->local.predictable)
+            bhtTage_->predictionFeedback(di.pc, di.br->loopDir,
                                          di.actualDir);
     }
-    if (br.local.valid && br.loopDir != br.tageDir)
-        withLoop_.update(br.loopDir == di.actualDir);
-    if (br.usedLoop) {
-        ++stats_.overrides;
-        if (br.loopDir == di.actualDir)
-            ++stats_.overridesCorrect;
-    }
-    if (br.checkpointed)
-        obq_.retireUpTo(br.obqId, di.seq);
 }
 
 double
 MultiStageScheme::storageKB() const
 {
-    const double obq_kb = obq_.storageKB();
-    const double repair_bits_kb =
-        (lp_->bhtEntries() + bhtTage_->bhtEntries()) / 8192.0;
-    const double rob_kb = robEntriesForStorage * 16.0 / 8192.0;
-    return obq_kb + repair_bits_kb + rob_kb;
+    // Repair bits for BHT-TAGE too. Every term is a multiple of 1/8192,
+    // so the sum is exact in any order.
+    return WalkSchemeBase::storageKB() + bhtTage_->bhtEntries() / 8192.0;
 }
 
 double

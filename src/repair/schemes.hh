@@ -9,12 +9,59 @@
 #define LBP_REPAIR_SCHEMES_HH
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "repair/scheme.hh"
 
 namespace lbp {
+
+/**
+ * A bounded ring of seq-tagged checkpoints (Snapshot's BHT images,
+ * FutureFile's speculative states). Ids are monotonic positions and
+ * id -> slot is id % capacity; records join at the tail, a squash
+ * trims the tail and retirement drains the head.
+ */
+template <typename T>
+class SeqRing
+{
+  public:
+    explicit SeqRing(std::size_t capacity) : ring_(capacity) {}
+
+    T &at(std::uint64_t id) { return ring_[id % ring_.size()]; }
+
+    /** Whether record @p id is still held (not squashed or retired). */
+    bool live(std::uint64_t id) const { return id >= head_ && id < tail_; }
+    bool full() const { return tail_ - head_ == ring_.size(); }
+    unsigned size() const { return static_cast<unsigned>(tail_ - head_); }
+    std::size_t capacity() const { return ring_.size(); }
+    std::uint64_t head() const { return head_; }
+    std::uint64_t tail() const { return tail_; }
+
+    /** Append a record; the caller makes room first. Returns its id. */
+    std::uint64_t push() { return tail_++; }
+    void dropOldest() { ++head_; }
+    /** Drop every record from @p id on. */
+    void truncate(std::uint64_t id) { tail_ = id; }
+
+    void
+    squashYoungerThan(InstSeq seq)
+    {
+        while (tail_ > head_ && at(tail_ - 1).seq > seq)
+            --tail_;
+    }
+
+    void
+    retireUpTo(InstSeq seq)
+    {
+        while (head_ < tail_ && at(head_).seq <= seq)
+            ++head_;
+    }
+
+  private:
+    std::vector<T> ring_;
+    std::uint64_t head_ = 0;
+    std::uint64_t tail_ = 0;
+};
 
 /**
  * NoRepair: speculative BHT updates are applied on the predicted path
@@ -54,14 +101,17 @@ class PerfectRepairScheme : public RepairScheme
                         const RepairConfig &cfg);
 
     void atTruePathFetch(const DynInst &di) override;
-    void atMispredict(DynInst &di, Cycle now) override;
+
+  protected:
+    RepairOutcome repair(DynInst &cause, Cycle now) override;
 
   private:
     std::unique_ptr<LocalPredictor> oracle_;
 };
 
 /**
- * Shared machinery for the OBQ-backed history-file walks.
+ * Shared machinery for the OBQ-backed history-file walks: the OBQ's
+ * checkpoint, squash, retire and storage, and the one forward walk.
  */
 class WalkSchemeBase : public RepairScheme
 {
@@ -69,18 +119,26 @@ class WalkSchemeBase : public RepairScheme
     WalkSchemeBase(std::unique_ptr<LocalPredictor> lp,
                    const RepairConfig &cfg, bool coalesce);
 
-    void atSquash(InstSeq kept_seq, const DynInst &cause) override;
     void atRetire(DynInst &di) override;
     double storageKB() const override;
     unsigned obqOccupancy() const override { return obq_.size(); }
 
-    const Obq &obq() const { return obq_; }
-
   protected:
     void checkpoint(DynInst &di, Cycle now) override;
+    void squash(const DynInst &cause) override;
+
+    /**
+     * Section 3.1's forward walk, from the mispredicting branch's entry
+     * toward the tail. Repair bits give each PC one write: the oldest
+     * instance's pre-state, which is the architectural one. A cause
+     * sharing a coalesced entry first repairs its own PC from the state
+     * it carries. Returns the entries walked; repaired_ lists the PCs
+     * written, in write order.
+     */
+    unsigned forwardWalk(const DynInst &cause);
 
     Obq obq_;
-    Cycle busyUntil_ = 0;
+    std::vector<Addr> repaired_;
 };
 
 /**
@@ -95,9 +153,8 @@ class BackwardWalkScheme : public WalkSchemeBase
     BackwardWalkScheme(std::unique_ptr<LocalPredictor> lp,
                        const RepairConfig &cfg);
 
-    void atMispredict(DynInst &di, Cycle now) override;
-
   protected:
+    RepairOutcome repair(DynInst &cause, Cycle now) override;
     bool bhtUsable(Addr pc, Cycle now) const override;
 };
 
@@ -115,14 +172,12 @@ class ForwardWalkScheme : public WalkSchemeBase
     ForwardWalkScheme(std::unique_ptr<LocalPredictor> lp,
                       const RepairConfig &cfg);
 
-    void atMispredict(DynInst &di, Cycle now) override;
-
   protected:
+    RepairOutcome repair(DynInst &cause, Cycle now) override;
     bool bhtUsable(Addr pc, Cycle now) const override;
 
   private:
-    /** PCs awaiting their repair write during an active walk. */
-    mutable std::unordered_map<Addr, Cycle> pendingRepair_;
+    Cycle walkStart_ = 0;  ///< first write cycle of the latest walk
 };
 
 /**
@@ -136,17 +191,14 @@ class SnapshotScheme : public RepairScheme
     SnapshotScheme(std::unique_ptr<LocalPredictor> lp,
                    const RepairConfig &cfg);
 
-    void atMispredict(DynInst &di, Cycle now) override;
-    void atSquash(InstSeq kept_seq, const DynInst &cause) override;
     void atRetire(DynInst &di) override;
     double storageKB() const override;
-    unsigned obqOccupancy() const override
-    {
-        return static_cast<unsigned>(tail_ - head_);
-    }
+    unsigned obqOccupancy() const override { return ring_.size(); }
 
   protected:
     void checkpoint(DynInst &di, Cycle now) override;
+    RepairOutcome repair(DynInst &cause, Cycle now) override;
+    void squash(const DynInst &cause) override;
     bool bhtUsable(Addr pc, Cycle now) const override;
 
   private:
@@ -156,11 +208,7 @@ class SnapshotScheme : public RepairScheme
         std::vector<std::uint64_t> data;
     };
 
-    std::vector<Snap> ring_;
-    std::uint64_t head_ = 0;
-    std::uint64_t tail_ = 0;
-    Cycle busyUntil_ = 0;
-    std::uint64_t evictions_ = 0;
+    SeqRing<Snap> ring_;
 };
 
 /**
@@ -177,27 +225,24 @@ class LimitedPcScheme : public RepairScheme
     LimitedPcScheme(std::unique_ptr<LocalPredictor> lp,
                     const RepairConfig &cfg);
 
-    void atMispredict(DynInst &di, Cycle now) override;
     void atRetire(DynInst &di) override;
     double storageKB() const override;
 
-    /** The M PCs the last repair actually wrote (declared coverage). */
-    const std::vector<Addr> *lastRepairSet() const override
-    {
-        return &lastRepairSet_;
-    }
-
   protected:
     void checkpoint(DynInst &di, Cycle now) override;
-    bool bhtUsable(Addr pc, Cycle now) const override;
+    /** Declares the payload's PCs as the outcome's repairSet. */
+    RepairOutcome repair(DynInst &cause, Cycle now) override;
 
   private:
     static constexpr unsigned maxM = RepairConfig::maxLimitedM;
     static constexpr unsigned payloadRingLog = 13;
 
+    /** The chosen PCs and their pre-update states; pcs is contiguous so
+     *  a repair can declare it as its repair set. */
     struct Payload
     {
-        std::array<std::pair<Addr, LocalState>, maxM> pcs;
+        std::array<Addr, maxM> pcs;
+        std::array<LocalState, maxM> states;
         std::uint8_t count = 0;
         InstSeq seq = invalidSeq;
     };
@@ -207,8 +252,6 @@ class LimitedPcScheme : public RepairScheme
     std::vector<Payload> payloadRing_;
     std::vector<Addr> overrideLru_;   ///< recent correct overriders
     std::vector<Addr> recentUpdates_; ///< recent BHT-updated PCs
-    std::vector<Addr> lastRepairSet_; ///< PCs written by the last repair
-    Cycle busyUntil_ = 0;
 };
 
 /**
@@ -230,14 +273,13 @@ class FutureFileScheme : public RepairScheme
 
     PredictOutcome atPredict(DynInst &di, bool tage_dir,
                              Cycle now) override;
-    void atMispredict(DynInst &di, Cycle now) override;
-    void atSquash(InstSeq kept_seq, const DynInst &cause) override;
     void atRetire(DynInst &di) override;
     double storageKB() const override;
-    unsigned obqOccupancy() const override
-    {
-        return static_cast<unsigned>(tail_ - head_);
-    }
+    unsigned obqOccupancy() const override { return ring_.size(); }
+
+  protected:
+    RepairOutcome repair(DynInst &cause, Cycle now) override;
+    void squash(const DynInst &cause) override;
 
   private:
     struct Entry
@@ -247,11 +289,7 @@ class FutureFileScheme : public RepairScheme
         InstSeq seq = invalidSeq;
     };
 
-    Entry &slot(std::uint64_t id) { return ring_[id % ring_.size()]; }
-
-    std::vector<Entry> ring_;
-    std::uint64_t head_ = 0;
-    std::uint64_t tail_ = 0;
+    SeqRing<Entry> ring_;
 };
 
 /**
@@ -263,7 +301,7 @@ class FutureFileScheme : public RepairScheme
  * (BHT-TAGE simply declines predictions during the repair period, so no
  * extra ports are needed).
  */
-class MultiStageScheme : public RepairScheme
+class MultiStageScheme : public WalkSchemeBase
 {
   public:
     /** @p lp is BHT-Defer (checkpointed); @p bht_tage the fetch table. */
@@ -274,26 +312,25 @@ class MultiStageScheme : public RepairScheme
     PredictOutcome atPredict(DynInst &di, bool tage_dir,
                              Cycle now) override;
     AllocOutcome atAlloc(DynInst &di, Cycle now) override;
-    void atMispredict(DynInst &di, Cycle now) override;
-    void atSquash(InstSeq kept_seq, const DynInst &cause) override;
     void atRetire(DynInst &di) override;
     double storageKB() const override;
     double localStorageKB() const override;
-    unsigned obqOccupancy() const override { return obq_.size(); }
 
     /** BHT-Defer (the checkpointed table) is looked up at atAlloc(). */
     bool auditsAtAlloc() const override { return true; }
 
     LocalPredictor &bhtTage() { return *bhtTage_; }
 
+  protected:
+    RepairOutcome repair(DynInst &cause, Cycle now) override;
+
   private:
-    bool deferBusy(Cycle now) const { return now < deferBusyUntil_; }
+    /** BHT-Defer is held by its repair walk until busyUntil_. */
+    bool deferBusy(Cycle now) const { return now < busyUntil_; }
     bool tageBusy(Cycle now) const { return now < tageBusyUntil_; }
 
     std::unique_ptr<LocalPredictor> bhtTage_;
     bool sharedPt_;
-    Obq obq_;
-    Cycle deferBusyUntil_ = 0;
     Cycle tageBusyUntil_ = 0;
 };
 

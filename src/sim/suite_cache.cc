@@ -38,8 +38,6 @@ configKey(const SimConfig &cfg)
 
     appendField(k, "warm", cfg.warmupInstrs);
     appendField(k, "meas", cfg.measureInstrs);
-    appendField(k, "audit", cfg.audit ? 1 : 0);
-    appendField(k, "auditPanic", cfg.auditPanic ? 1 : 0);
     // cfg.obs is deliberately NOT keyed: observability is purely
     // observational (trace-on results are bit-identical to trace-off),
     // so keying it would only split the cache. A memoized hit therefore
@@ -105,9 +103,6 @@ configKey(const SimConfig &cfg)
         appendField(k, "mspt", r.msSplitPt ? 1 : 0);
         appendField(k, "ffw", r.ffWindow);
         appendField(k, "ch", r.useChooser ? 1 : 0);
-        appendField(k, "chi",
-                    static_cast<std::uint64_t>(
-                        static_cast<std::int64_t>(r.chooserInit)));
         k += "loop{";
         appendField(k, "bht", r.loop.bhtEntries);
         appendField(k, "bhtw", r.loop.bhtWays);

@@ -7,9 +7,8 @@
 
 namespace lbp {
 
-SpecStateAuditor::SpecStateAuditor(const LocalPredictor &model,
-                                   const AuditorConfig &cfg)
-    : model_(model), cfg_(cfg)
+SpecStateAuditor::SpecStateAuditor(const LocalPredictor &model)
+    : model_(model)
 {
 }
 
@@ -21,8 +20,8 @@ SpecStateAuditor::auditableKind(RepairKind kind)
     // immediately and in full, from checkpoints of the live table".
     // That covers both walks and the snapshot queue outright. Two
     // schemes with *declared* gaps are auditable through the gap
-    // model: LimitedPc publishes its M-PC repair set per recovery
-    // (lastRepairSet()), so pollution outside the set is counted as a
+    // model: LimitedPc declares its M-PC repair set in each recovery's
+    // RepairOutcome, so pollution outside the set is counted as a
     // designed divergence rather than asserted; MultiStage checkpoints
     // only BHT-Defer, whose alloc-stage records (auditsAtAlloc()) make
     // its forward walk exactly checkable — BHT-TAGE is disposable by
@@ -50,7 +49,7 @@ void
 SpecStateAuditor::report(const char *what, const DynInst &di,
                          LocalState expect, LocalState got)
 {
-    if (reported_ < cfg_.maxReports) {
+    if (reported_ < maxReports) {
         ++reported_;
         std::fprintf(stderr,
                      "audit: %s mismatch pc=%#llx seq=%llu "
@@ -61,8 +60,6 @@ SpecStateAuditor::report(const char *what, const DynInst &di,
                      static_cast<unsigned>(expect),
                      static_cast<unsigned>(got));
     }
-    if (cfg_.panicOnViolation)
-        lbp_panic("speculative-state audit violation");
 }
 
 void
@@ -91,9 +88,11 @@ SpecStateAuditor::onPredict(const DynInst &di)
 
 void
 SpecStateAuditor::onRecovery(const DynInst &cause,
-                             const LocalPredictor &live, bool covered,
-                             const std::vector<Addr> *repairSet)
+                             const LocalPredictor &live,
+                             const RepairOutcome &outcome)
 {
+    const bool covered = outcome.covered();
+    const std::span<const Addr> repairSet = outcome.repairSet;
     // The wrong-path window: the mispredicting branch's own (wrong-
     // direction) update plus everything fetched after it.
     std::size_t first = inflight_.size();
@@ -110,7 +109,7 @@ SpecStateAuditor::onRecovery(const DynInst &cause,
             if (inflight_[i].specUpdated)
                 desync(inflight_[i].pc, cause.seq);
         }
-    } else if (cfg_.checkAtRecovery) {
+    } else {
         // Oldest polluting instance per PC decides the expected
         // post-repair state: its pre-update checkpoint is the
         // architecturally-correct value (advanced by the resolved
@@ -129,9 +128,9 @@ SpecStateAuditor::onRecovery(const DynInst &cause,
             }
             if (!oldest)
                 continue;
-            if (repairSet && rec.pc != cause.pc &&
-                std::find(repairSet->begin(), repairSet->end(),
-                          rec.pc) == repairSet->end()) {
+            if (!repairSet.empty() && rec.pc != cause.pc &&
+                std::find(repairSet.begin(), repairSet.end(), rec.pc) ==
+                    repairSet.end()) {
                 // Declared partial coverage (LimitedPc): the scheme
                 // repairs only its M chosen PCs and leaves the rest
                 // polluted by design (section 3.3). The divergence is
@@ -210,7 +209,7 @@ SpecStateAuditor::onRetire(const DynInst &di)
             it->second.state = rec.pre;
             it->second.desynced = false;
             ++stats_.resyncs;
-        } else if (cfg_.checkAtRetire) {
+        } else {
             ++stats_.retireChecks;
             if (rec.pre != it->second.state) {
                 ++stats_.retireViolations;

@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <vector>
 
 #include "bpu/predictor.hh"
 #include "common/types.hh"
@@ -46,15 +45,6 @@
 #include "repair/scheme.hh"
 
 namespace lbp {
-
-/** Auditor behavior knobs. */
-struct AuditorConfig
-{
-    bool checkAtRecovery = true;  ///< direct BHT check after each repair
-    bool checkAtRetire = true;    ///< golden-chain check at each retire
-    bool panicOnViolation = false;  ///< abort the run on first violation
-    unsigned maxReports = 8;      ///< stderr diagnostics before going quiet
-};
 
 /** Auditor outcome counters. */
 struct AuditorStats
@@ -80,7 +70,7 @@ struct AuditorStats
  * directly):
  *
  *   atPredict   -> onPredict(di)
- *   atMispredict + atSquash -> onRecovery(di, live, covered)
+ *   recover     -> onRecovery(di, live, outcome)
  *   atRetire    -> onRetire(di)   [before the scheme's own atRetire]
  */
 class SpecStateAuditor
@@ -90,8 +80,7 @@ class SpecStateAuditor
      * @param model supplies advanceState() semantics only; typically
      * the audited scheme's own predictor. Never mutated.
      */
-    explicit SpecStateAuditor(const LocalPredictor &model,
-                              const AuditorConfig &cfg = {});
+    explicit SpecStateAuditor(const LocalPredictor &model);
 
     /** True for repair kinds whose claimed contract the auditor can
      *  check exactly (full immediate repair of speculative state). */
@@ -101,18 +90,17 @@ class SpecStateAuditor
     void onPredict(const DynInst &di);
 
     /**
-     * Cross-check after a misprediction recovery. Call after the
-     * scheme's atMispredict and atSquash, before the pipeline reuses
-     * the BHT. @p covered is false when the scheme itself declared the
-     * recovery unrepairable (e.g. OBQ overflow). @p repairSet, when
-     * non-null, is the scheme's declared coverage (LimitedPc's M-PC
-     * payload): polluted PCs outside it are a designed gap — counted
-     * as skipped and desynced, not asserted. The mispredicting PC
-     * itself is always checked; every scheme repairs at least that.
+     * Cross-check after a misprediction recovery. Call with what the
+     * scheme's recover() returned, before the pipeline reuses the BHT.
+     * An uncovered @p outcome is a recovery the scheme itself declared
+     * unrepairable (e.g. OBQ overflow). A non-empty repairSet is the
+     * scheme's declared coverage (LimitedPc's M-PC payload): polluted
+     * PCs outside it are a designed gap — counted as skipped and
+     * desynced, not asserted. The mispredicting PC itself is always
+     * checked; every scheme repairs at least that.
      */
     void onRecovery(const DynInst &cause, const LocalPredictor &live,
-                    bool covered,
-                    const std::vector<Addr> *repairSet = nullptr);
+                    const RepairOutcome &outcome);
 
     /** Cross-check and advance the golden chain at a conditional
      *  branch's retirement. Call before the scheme's atRetire. */
@@ -153,8 +141,10 @@ class SpecStateAuditor
     void report(const char *what, const DynInst &di, LocalState expect,
                 LocalState got);
 
+    /** stderr diagnostics before going quiet. */
+    static constexpr unsigned maxReports = 8;
+
     const LocalPredictor &model_;
-    AuditorConfig cfg_;
     std::deque<SpecRec> inflight_;
     std::unordered_map<Addr, Chain> arch_;
     AuditorStats stats_;

@@ -43,17 +43,14 @@ walkConfig(RepairKind kind, RepairPorts ports = {32, 4, 2})
 class AuditDriver
 {
   public:
-    explicit AuditDriver(const RepairConfig &cfg,
-                         const AuditorConfig &acfg = {})
-        : AuditDriver(makeRepairScheme(cfg), acfg)
+    explicit AuditDriver(const RepairConfig &cfg)
+        : AuditDriver(makeRepairScheme(cfg))
     {
     }
 
     /** Drive a hand-built (e.g. deliberately broken) scheme. */
-    explicit AuditDriver(std::unique_ptr<RepairScheme> scheme,
-                         const AuditorConfig &acfg = {})
-        : scheme_(std::move(scheme)),
-          auditor_(scheme_->local(), acfg)
+    explicit AuditDriver(std::unique_ptr<RepairScheme> scheme)
+        : scheme_(std::move(scheme)), auditor_(scheme_->local())
     {
     }
 
@@ -85,17 +82,12 @@ class AuditDriver
         return di;
     }
 
-    void
+    RepairOutcome
     mispredict(DynInst &di)
     {
-        const std::uint64_t pre =
-            scheme_->stats().uncheckpointedMispredicts;
-        scheme_->atMispredict(di, now_);
-        scheme_->atSquash(di.seq, di);
-        auditor_.onRecovery(
-            di, scheme_->local(),
-            scheme_->stats().uncheckpointedMispredicts == pre,
-            scheme_->lastRepairSet());
+        const RepairOutcome out = scheme_->recover(di, now_);
+        auditor_.onRecovery(di, scheme_->local(), out);
+        return out;
     }
 
     void
@@ -194,14 +186,9 @@ TEST(Auditor, InjectedCorruptionAtRecoveryIsFlagged)
 
     // Simulate a buggy repair: run the real walk, then corrupt the
     // repaired entry before the auditor's cross-check.
-    const std::uint64_t pre =
-        d.scheme().stats().uncheckpointedMispredicts;
-    d.scheme().atMispredict(cause, 105);
-    d.scheme().atSquash(cause.seq, cause);
+    const RepairOutcome out = d.scheme().recover(cause, 105);
     d.lp().writeState(pcB, LoopState::make(999, true));
-    d.auditor().onRecovery(
-        cause, d.lp(),
-        d.scheme().stats().uncheckpointedMispredicts == pre);
+    d.auditor().onRecovery(cause, d.lp(), out);
 
     EXPECT_GE(d.astats().recoveryViolations, 1u);
 
@@ -302,10 +289,10 @@ TEST(Auditor, LimitedPcOutOfSetIsCountedNotAsserted)
     d.predict(pcB, true, true, /*wrong_path=*/true);
     d.advanceTime(5);
     const std::uint64_t skipped_before = d.astats().skipped;
-    d.mispredict(cause);
+    const RepairOutcome out = d.mispredict(cause);
 
-    ASSERT_NE(d.scheme().lastRepairSet(), nullptr);
-    EXPECT_EQ(d.scheme().lastRepairSet()->size(), 1u);
+    ASSERT_EQ(out.repairSet.size(), 1u);
+    EXPECT_EQ(out.repairSet[0], pcA);
     EXPECT_GT(d.astats().skipped, skipped_before)
         << "out-of-set pollution must be counted as a declared gap";
     EXPECT_GT(d.astats().recoveryChecks, 0u)
@@ -354,11 +341,13 @@ class BrokenLimitedPcScheme : public LimitedPcScheme
   public:
     using LimitedPcScheme::LimitedPcScheme;
 
-    void
-    atMispredict(DynInst &di, Cycle now) override
+  protected:
+    RepairOutcome
+    repair(DynInst &di, Cycle now) override
     {
-        LimitedPcScheme::atMispredict(di, now);
+        const RepairOutcome out = LimitedPcScheme::repair(di, now);
         lp_->writeState(di.pc, LoopState::make(999, true));
+        return out;
     }
 };
 
@@ -368,11 +357,13 @@ class BrokenMultiStageScheme : public MultiStageScheme
   public:
     using MultiStageScheme::MultiStageScheme;
 
-    void
-    atMispredict(DynInst &di, Cycle now) override
+  protected:
+    RepairOutcome
+    repair(DynInst &di, Cycle now) override
     {
-        MultiStageScheme::atMispredict(di, now);
+        const RepairOutcome out = MultiStageScheme::repair(di, now);
         lp_->writeState(di.pc, LoopState::make(999, true));
+        return out;
     }
 };
 
@@ -446,11 +437,12 @@ class BrokenWalkScheme : public BackwardWalkScheme
     {
     }
 
-    void
-    atMispredict(DynInst &di, Cycle now) override
+  protected:
+    RepairOutcome
+    repair(DynInst &, Cycle) override
     {
-        // Pollution accounting only; no repair, no declared gap.
-        RepairScheme::atMispredict(di, now);
+        // No repair and no declared gap; the OBQ squash still runs.
+        return {};
     }
 };
 

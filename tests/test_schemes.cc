@@ -48,11 +48,10 @@ class Driver
         return di;
     }
 
-    void
+    RepairOutcome
     mispredict(DynInst &di)
     {
-        scheme_->atMispredict(di, now_);
-        scheme_->atSquash(di.seq, di);
+        return scheme_->recover(di, now_);
     }
 
     void retire(DynInst &di) { scheme_->atRetire(di); }
@@ -127,12 +126,14 @@ TEST(ForwardWalk, RepairBitGivesOneWritePerPc)
     d.predict(pcA, true, true, true);
     d.predict(pcA, true, true, true);
     d.predict(pcA, true, true, true);
-    d.mispredict(b);
-    // 4 entries walked (3 wrong-path A + none for B: B missed at its
-    // own predict)... writes counted must equal distinct PCs written.
-    const RepairStats &st = d.scheme().stats();
-    EXPECT_EQ(st.writesPerRepair.max(), 1u)
+    const RepairOutcome out = d.mispredict(b);
+    // 3 entries walked (the wrong-path A instances; B missed at its
+    // own predict and only marks the walk's start)... writes counted
+    // must equal distinct PCs written.
+    EXPECT_EQ(out.walked, 3u);
+    EXPECT_EQ(out.writes, 1u)
         << "three A instances must collapse to one write";
+    EXPECT_EQ(d.scheme().stats().writesPerRepair.max(), 1u);
 }
 
 TEST(ForwardWalk, PerEntryAvailabilityDuringRepair)
@@ -176,7 +177,7 @@ TEST(ForwardWalk, UncheckpointedMispredictIsUnrecovered)
     (void)c;
     // c2 hits the BHT but the OBQ is full: no id at all.
     EXPECT_EQ(c2.br->obqId, invalidId);
-    d.mispredict(c2);
+    EXPECT_FALSE(d.mispredict(c2).covered());
     EXPECT_GE(d.scheme().stats().uncheckpointedMispredicts, 1u);
 }
 
@@ -290,7 +291,7 @@ TEST(Snapshot, EvictedSnapshotMeansNoRecovery)
     DynInst &a = d.predict(pcA, true, false);
     d.predict(pcB, true, true);
     d.predict(pcC, true, true);  // a's snapshot evicted (capacity 2)
-    d.mispredict(a);
+    EXPECT_FALSE(d.mispredict(a).covered());
     EXPECT_GE(d.scheme().stats().uncheckpointedMispredicts, 1u);
 }
 
@@ -309,7 +310,10 @@ TEST(LimitedPc, SelfAndRecentNeighbourRepaired)
     DynInst &b = d.predict(pcB, true, false);  // payload: {B, A}
     d.predict(pcA, true, true, true);          // pollution A = {3,T}
     d.predict(pcB, true, true, true);          // pollution B = {3,T}
-    d.mispredict(b);
+    const RepairOutcome out = d.mispredict(b);
+    ASSERT_EQ(out.repairSet.size(), 2u) << "the declared set is the payload";
+    EXPECT_EQ(out.repairSet[0], pcB);
+    EXPECT_EQ(out.repairSet[1], pcA);
     EXPECT_EQ(d.state(pcA), LoopState::make(2, true))
         << "the recency slot must cover the hot neighbour";
     EXPECT_EQ(d.state(pcB), LoopState::make(1, false))

@@ -24,6 +24,15 @@ using namespace lbp;
 
 namespace {
 
+/** Every repair scheme. */
+constexpr RepairKind allSchemes[] = {
+    RepairKind::Perfect,     RepairKind::NoRepair,
+    RepairKind::RetireUpdate, RepairKind::BackwardWalk,
+    RepairKind::Snapshot,    RepairKind::ForwardWalk,
+    RepairKind::LimitedPc,   RepairKind::MultiStage,
+    RepairKind::FutureFile,
+};
+
 SimConfig
 schemeConfig(RepairKind kind)
 {
@@ -308,74 +317,98 @@ TEST(Trace, ChromeTraceParsesWithBalancedPairs)
         EXPECT_EQ(d, 0) << "unclosed span on tid " << tid;
 }
 
-// Forensics channel reconciles exactly with the core counters: one
-// squash record per misprediction, and the CSV dump has one row per
-// record plus the header.
+// Forensics channel reconciles exactly with the core and the scheme,
+// for every repair scheme: one squash record per misprediction, the
+// per-squash walk lengths and repair writes (what each recovery's
+// RepairOutcome reported) sum to the scheme's own RepairStats totals,
+// and the CSV dump has one row per record plus the header.
 TEST(Trace, ForensicsReconcilesWithCoreStats)
 {
     const std::vector<Program> suite = smallSuite(3);
-    std::vector<RunResult> results;
-    for (const Program &prog : suite)
-        results.push_back(
-            observedRun(prog, schemeConfig(RepairKind::ForwardWalk)));
+    for (const RepairKind kind : allSchemes) {
+        SimConfig cfg = schemeConfig(kind);
+        cfg.obs.forensics = true;
+        std::vector<ObsRun> runs;
+        std::size_t total_squashes = 0;
+        for (const Program &prog : suite) {
+            SCOPED_TRACE(prog.name + " / " + configLabel(cfg));
+            OooCore core(prog, cfg);
+            PipelineTracer tracer(cfg.obs);
+            core.attachTracer(&tracer);
+            core.run(cfg.warmupInstrs + cfg.measureInstrs);
+            ObsRun o = tracer.finish();
+            o.workload = prog.name;
 
-    std::vector<const ObsRun *> obs;
-    std::size_t total_squashes = 0;
-    for (const RunResult &r : results) {
-        ASSERT_TRUE(r.obs);
-        EXPECT_EQ(r.obs->squashes.size(), r.obs->totalMispredicts)
-            << r.workload;
-        EXPECT_GT(r.obs->totalMispredicts, 0u) << r.workload;
-        obs.push_back(r.obs.get());
-        total_squashes += r.obs->squashes.size();
+            EXPECT_EQ(o.squashes.size(), core.stats().mispredicts);
+            EXPECT_GT(core.stats().mispredicts, 0u);
+            std::uint64_t walk = 0, writes = 0;
+            for (const SquashRecord &sq : o.squashes) {
+                walk += sq.walkLength;
+                writes += sq.repairWrites;
+            }
+            const RepairStats &rs = core.scheme()->stats();
+            EXPECT_EQ(walk, rs.walkLength.sum());
+            EXPECT_EQ(writes, rs.repairWrites);
+            total_squashes += o.squashes.size();
+            runs.push_back(std::move(o));
+        }
+
+        std::vector<const ObsRun *> obs;
+        for (const ObsRun &o : runs)
+            obs.push_back(&o);
+        std::ostringstream os;
+        writeForensicsCsv(os, obs);
+        const std::string text = os.str();
+        std::size_t lines = 0;
+        for (char c : text)
+            if (c == '\n')
+                ++lines;
+        EXPECT_EQ(lines, total_squashes + 1);  // +1 header
+        EXPECT_EQ(text.rfind("workload,cycle,pc,seq,source,", 0), 0u);
     }
-
-    std::ostringstream os;
-    writeForensicsCsv(os, obs);
-    const std::string text = os.str();
-    std::size_t lines = 0;
-    for (char c : text)
-        if (c == '\n')
-            ++lines;
-    EXPECT_EQ(lines, total_squashes + 1);  // +1 header
-    EXPECT_EQ(text.rfind("workload,cycle,pc,seq,source,", 0), 0u);
 }
 
 // Histogram bucket sums must equal their sample counts, and the sample
-// counts must reconcile with the squash/repair totals they observe.
+// counts must reconcile with the squash/repair totals they observe —
+// for every repair scheme, down to the run's repair-write total.
 TEST(Trace, HistogramsReconcileWithCounters)
 {
     for (const Program &prog : smallSuite(2)) {
-        const RunResult r =
-            observedRun(prog, schemeConfig(RepairKind::ForwardWalk));
-        ASSERT_TRUE(r.obs);
-        const ObsRun &o = *r.obs;
+        for (const RepairKind kind : allSchemes) {
+            SCOPED_TRACE(prog.name + " / " + repairKindName(kind));
+            const RunResult r = observedRun(prog, schemeConfig(kind));
+            ASSERT_TRUE(r.obs);
+            const ObsRun &o = *r.obs;
 
-        const std::uint64_t n = o.squashes.size();
-        EXPECT_EQ(o.resolveLatency.count(), n);
-        EXPECT_EQ(o.robOccupancy.count(), n);
-        // Walk-length samples only exist for squashes whose repair
-        // actually walked entries, so the count is bounded by, not equal
-        // to, the repair total.
-        EXPECT_LE(o.walkLength.count(), o.totalRepairs);
+            const std::uint64_t n = o.squashes.size();
+            EXPECT_EQ(o.resolveLatency.count(), n);
+            EXPECT_EQ(o.robOccupancy.count(), n);
+            // Walk-length samples only exist for squashes whose repair
+            // actually walked entries, so the count is bounded by, not
+            // equal to, the repair total.
+            EXPECT_LE(o.walkLength.count(), o.totalRepairs);
 
-        for (const FixedHistogram *h :
-             {&o.resolveLatency, &o.robOccupancy, &o.walkLength}) {
-            EXPECT_EQ(h->bucketTotal(), h->count());
-            std::uint64_t max_seen = h->max();
-            EXPECT_LE(max_seen, h->sum());
+            for (const FixedHistogram *h :
+                 {&o.resolveLatency, &o.robOccupancy, &o.walkLength}) {
+                EXPECT_EQ(h->bucketTotal(), h->count());
+                std::uint64_t max_seen = h->max();
+                EXPECT_LE(max_seen, h->sum());
+            }
+
+            // Per-record sums must match the histogram sums and the
+            // run's repair-write total exactly.
+            std::uint64_t lat = 0, rob = 0, walk = 0, writes = 0;
+            for (const SquashRecord &sq : o.squashes) {
+                lat += sq.resolveLatency;
+                rob += sq.robOccupancy;
+                walk += sq.walkLength;
+                writes += sq.repairWrites;
+            }
+            EXPECT_EQ(o.resolveLatency.sum(), lat);
+            EXPECT_EQ(o.robOccupancy.sum(), rob);
+            EXPECT_EQ(o.walkLength.sum(), walk);
+            EXPECT_EQ(r.repairWrites, writes);
         }
-
-        // Per-record sums must match the histogram sums exactly.
-        std::uint64_t lat = 0, rob = 0, walk = 0;
-        for (const SquashRecord &s : o.squashes) {
-            lat += s.resolveLatency;
-            rob += s.robOccupancy;
-            walk += s.walkLength;
-        }
-        EXPECT_EQ(o.resolveLatency.sum(), lat);
-        EXPECT_EQ(o.robOccupancy.sum(), rob);
-        EXPECT_EQ(o.walkLength.sum(), walk);
     }
 }
 

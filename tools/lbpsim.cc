@@ -262,7 +262,8 @@ main(int argc, char **argv)
         "lbpsim — local-branch-predictor repair simulator",
         {
             {"--list", nullptr, nullptr,
-             "print categories and named workloads", cliAssign(list, true)},
+             "print the workload categories and their sizes",
+             cliAssign(list, true)},
             {"--workload", nullptr, "<Category:N>",
              "simulate one workload (e.g. Server:0)", bindWorkload(workload)},
             {"--suite", nullptr, "<N|all>",
