@@ -79,11 +79,13 @@ BM_LoopSnapshotRestore(benchmark::State &state)
     LoopPredictor loop;
     for (unsigned i = 0; i < 500; ++i)
         loop.specUpdate(0x400000 + 4 * (i % 60), i & 1);
+    std::vector<std::uint64_t> snap;
     for (auto _ : state) {
         (void)_;
-        const auto snap = loop.snapshotBht();
+        loop.snapshotBhtInto(snap);
         loop.restoreBht(snap);
         benchmark::DoNotOptimize(snap.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations());
 }

@@ -130,19 +130,20 @@ LocalTwoLevelPredictor::testClearRepairBit(Addr pc)
     return prev;
 }
 
-std::vector<std::uint64_t>
-LocalTwoLevelPredictor::snapshotBht() const
+void
+LocalTwoLevelPredictor::snapshotBhtInto(
+    std::vector<std::uint64_t> &snap) const
 {
-    std::vector<std::uint64_t> snap;
-    snap.reserve(bht_.raw().size() * 2);
-    for (const auto &way : bht_.raw()) {
-        snap.push_back((way.valid ? 1u : 0u) |
-                       (way.data.repairBit ? 2u : 0u) |
-                       (static_cast<std::uint64_t>(way.data.state) << 2) |
-                       (way.tag << 18));
-        snap.push_back(way.lruStamp);
+    const auto &ways = bht_.raw();
+    snap.resize(ways.size() * 2);
+    for (std::size_t i = 0; i < ways.size(); ++i) {
+        const auto &way = ways[i];
+        snap[i * 2] = (way.valid ? 1u : 0u) |
+                      (way.data.repairBit ? 2u : 0u) |
+                      (static_cast<std::uint64_t>(way.data.state) << 2) |
+                      (way.tag << 18);
+        snap[i * 2 + 1] = way.lruStamp;
     }
-    return snap;
 }
 
 void

@@ -59,7 +59,7 @@ class LocalTwoLevelPredictor : public LocalPredictor
     void invalidateEntry(Addr pc) override;
     void setAllRepairBits() override;
     bool testClearRepairBit(Addr pc) override;
-    std::vector<std::uint64_t> snapshotBht() const override;
+    void snapshotBhtInto(std::vector<std::uint64_t> &snap) const override;
     void restoreBht(const std::vector<std::uint64_t> &snap) override;
 
     unsigned bhtEntries() const override { return bht_.numEntries(); }

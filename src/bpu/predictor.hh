@@ -105,8 +105,12 @@ class LocalPredictor
      */
     virtual bool testClearRepairBit(Addr pc) = 0;
 
-    /** Whole-BHT snapshot (for the snapshot-queue scheme & oracle). */
-    virtual std::vector<std::uint64_t> snapshotBht() const = 0;
+    /**
+     * Whole-BHT snapshot (for the snapshot-queue scheme & oracle),
+     * written over @p snap; a buffer that already holds one snapshot
+     * is refilled without allocating.
+     */
+    virtual void snapshotBhtInto(std::vector<std::uint64_t> &snap) const = 0;
 
     /** Restore a snapshot taken from an identically-configured table. */
     virtual void restoreBht(const std::vector<std::uint64_t> &snap) = 0;

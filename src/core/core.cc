@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "verify/auditor.hh"
 
 namespace lbp {
 
@@ -49,10 +50,6 @@ OooCore::OooCore(const Program &prog, const SimConfig &cfg,
       trueSeqRing_(1u << trueRingLog, invalidSeq)
 {
     scheme_ = std::move(scheme);
-#ifdef LBP_AUDIT
-    if (scheme_ && SpecStateAuditor::auditableKind(cfg.repair.kind))
-        auditor_ = std::make_unique<SpecStateAuditor>(scheme_->local());
-#endif
 }
 
 OooCore::~OooCore() = default;
@@ -279,10 +276,8 @@ OooCore::retireStage()
         }
         if (di.isCond()) {
             ++stats_.retiredCond;
-#ifdef LBP_AUDIT
             if (auditor_)
                 auditor_->onRetire(di);
-#endif
             if (scheme_)
                 scheme_->atRetire(di);
             tage_.train(di.pc, di.actualDir, brRec(di).pred);
@@ -323,10 +318,8 @@ OooCore::doFlush(DynInst &br)
     RepairOutcome repair;
     if (scheme_) {
         repair = scheme_->recover(br, now_);
-#ifdef LBP_AUDIT
         if (auditor_)
             auditor_->onRecovery(br, scheme_->local(), repair);
-#endif
     }
 
     // O(1) global-state repair: restore the checkpoint taken before
@@ -402,14 +395,12 @@ OooCore::deferStage()
         deferQueue_.popFront();
         if (scheme_) {
             const auto out = scheme_->atAlloc(di, now_);
-#ifdef LBP_AUDIT
             // Defer-side audit record: di.br->local now holds the
             // checkpointed table's lookup. Branches squashed out of
             // the defer queue before this point never touched
             // BHT-Defer, so skipping them is exact, not a gap.
             if (auditor_ && scheme_->auditsAtAlloc())
                 auditor_->onPredict(di);
-#endif
             if (out.resteer)
                 handleEarlyResteer(di, out.dir);
         }
@@ -699,15 +690,12 @@ OooCore::fetchStage()
             const bool tage_dir = tage_.predict(di.pc, tr.pred);
             bool final_dir = tage_dir;
             if (scheme_) {
-                final_dir =
-                    scheme_->atPredict(di, tage_dir, now_).finalDir;
-#ifdef LBP_AUDIT
+                final_dir = scheme_->atPredict(di, tage_dir, now_);
                 // MultiStage audits BHT-Defer, whose lookup happens at
                 // the defer stage; recording here would capture
                 // BHT-TAGE's (unaudited, disposable) state instead.
                 if (auditor_ && !scheme_->auditsAtAlloc())
                     auditor_->onPredict(di);
-#endif
             } else {
                 tr.tageDir = tage_dir;
                 tr.finalPred = tage_dir;

@@ -42,11 +42,9 @@
 #include "workload/executor.hh"
 #include "workload/program.hh"
 
-#ifdef LBP_AUDIT
-#include "verify/auditor.hh"
-#endif
-
 namespace lbp {
+
+class SpecStateAuditor;
 
 /** Pipeline geometry (Table 2 defaults). */
 struct CoreConfig
@@ -81,9 +79,10 @@ struct SimConfig
     std::uint64_t warmupInstrs = 40000;
     std::uint64_t measureInstrs = 60000;
     /**
-     * Observability switches (tracing / forensics). Purely
-     * observational — never changes simulated behavior, so it is
-     * excluded from the suite-cache config key (suite_cache.cc).
+     * Observability switches (tracing, forensics, the invariant
+     * auditor). Purely observational — never changes simulated
+     * behavior; only the audit switch enters the config key, because
+     * it fills result columns (suite_cache.cc).
      */
     ObsConfig obs{};
 };
@@ -132,9 +131,8 @@ class OooCore
 
     /**
      * Construct with an externally-built repair scheme instead of the
-     * one cfg.repair describes (cfg.repair should still describe it —
-     * the auditor keys its applicability off cfg.repair.kind). Lets
-     * tests inject instrumented or deliberately-broken schemes.
+     * one cfg.repair describes. Lets tests inject instrumented or
+     * deliberately-broken schemes.
      */
     OooCore(const Program &prog, const SimConfig &cfg,
             std::unique_ptr<RepairScheme> scheme);
@@ -155,18 +153,18 @@ class OooCore
      */
     void attachTracer(PipelineTracer *tracer) { tracer_ = tracer; }
 
+    /**
+     * Attach the speculative-state invariant auditor (src/verify), on
+     * the same terms as the tracer: never owned, nullptr detaches,
+     * null-tested at its four hooks (the two predict sites, recovery
+     * and retire), and read-only towards simulation state. Attach it
+     * before the first run() so it shadows every prediction.
+     */
+    void attachAuditor(SpecStateAuditor *auditor) { auditor_ = auditor; }
+
     RepairScheme *scheme() { return scheme_.get(); }
     const MemoryHierarchy &mem() const { return mem_; }
     Cycle now() const { return now_; }
-
-#ifdef LBP_AUDIT
-    /** Invariant-auditor counters; nullptr when no auditor attached. */
-    const AuditorStats *
-    auditorStats() const
-    {
-        return auditor_ ? &auditor_->stats() : nullptr;
-    }
-#endif
 
   private:
     struct Replayed
@@ -224,9 +222,6 @@ class OooCore
     MemoryHierarchy mem_;
     TagePredictor tage_;
     std::unique_ptr<RepairScheme> scheme_;
-#ifdef LBP_AUDIT
-    std::unique_ptr<SpecStateAuditor> auditor_;
-#endif
     FlatTagLru btb_;
 
     // Fetch state.
@@ -258,6 +253,7 @@ class OooCore
     CoreStats stats_;
     /** Observability hooks; null (the default) = zero-cost off. */
     PipelineTracer *tracer_ = nullptr;
+    SpecStateAuditor *auditor_ = nullptr;
 };
 
 } // namespace lbp

@@ -183,7 +183,7 @@ runMetrics()
          "Mean OBQ entries examined per repair walk (Figure 8 shape)",
          false, [](const RunResult &r) { return r.avgWalkLength; }},
         {"audit_checks", "count",
-         "Invariant-auditor recovery+retire checks (LBP_AUDIT builds)",
+         "Invariant-auditor recovery+retire checks (audited runs)",
          true, [](const RunResult &r) { return u64Field(r.auditChecks); }},
         {"audit_violations", "count",
          "Invariant-auditor violations (must be 0)", true,
@@ -221,14 +221,14 @@ runMetrics()
          "Mean cycles the BHT spent busy per repair episode",
          false, [](const RunResult &r) { return r.avgRepairCycles; }},
         {"audit_resyncs", "count",
-         "Golden chains re-anchored after a declared gap (LBP_AUDIT)",
+         "Golden chains re-anchored after a declared gap (audited runs)",
          true, [](const RunResult &r) { return u64Field(r.auditResyncs); }},
         {"audit_skipped", "count",
-         "Auditor checks skipped inside declared gaps (LBP_AUDIT)",
+         "Auditor checks skipped inside declared gaps (audited runs)",
          true, [](const RunResult &r) { return u64Field(r.auditSkipped); }},
         {"audit_uncovered", "count",
          "Recoveries the auditor could not cover (uncheckpointed "
-         "mispredictions; LBP_AUDIT)",
+         "mispredictions; audited runs)",
          true,
          [](const RunResult &r) { return u64Field(r.auditUncovered); }},
         {"tage_kb", "KB", "TAGE storage budget of this configuration",

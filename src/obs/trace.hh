@@ -40,13 +40,17 @@ namespace lbp {
 
 /**
  * Per-run observability switches, carried inside SimConfig. All fields
- * are purely observational: they never change simulated behavior, so
- * they are deliberately excluded from the suite-cache config key.
+ * are purely observational: they never change simulated behavior. The
+ * tracing fields are therefore excluded from the suite-cache config
+ * key; `audit` is keyed, because it fills the audit_* result columns.
  */
 struct ObsConfig
 {
     bool trace = false;      ///< collect stage events (ring-buffered)
     bool forensics = false;  ///< collect per-squash records + histograms
+    /** Attach the speculative-state invariant auditor (src/verify);
+     *  only for configurations auditableConfig() accepts. */
+    bool audit = false;
     /** Cycle span the dumped event window covers (last N cycles). */
     std::uint64_t traceWindowCycles = 20000;
     /**

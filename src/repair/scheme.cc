@@ -71,7 +71,7 @@ RepairScheme::decide(BranchRec &br, bool tage_dir) const
     br.finalPred = br.usedLoop ? br.local.dir : tage_dir;
 }
 
-RepairScheme::PredictOutcome
+bool
 RepairScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
 {
     BranchRec &br = *di.br;
@@ -91,7 +91,7 @@ RepairScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
             ++stats_.skippedSpecUpdates;
         }
     }
-    return {br.finalPred, br.usedLoop};
+    return br.finalPred;
 }
 
 RepairOutcome

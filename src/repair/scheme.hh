@@ -137,7 +137,7 @@ struct RepairStats
 /**
  * What one RepairScheme::recover() did. The pipeline learns about a
  * repair only from this: the misprediction-forensics record and the
- * LBP_AUDIT auditor read it, and recover() turns it into RepairStats
+ * invariant auditor read it, and recover() turns it into RepairStats
  * samples in one place.
  */
 struct RepairOutcome
@@ -178,12 +178,6 @@ struct RepairOutcome
 class RepairScheme
 {
   public:
-    struct PredictOutcome
-    {
-        bool finalDir = false;
-        bool usedLoop = false;
-    };
-
     struct AllocOutcome
     {
         bool resteer = false;
@@ -197,10 +191,10 @@ class RepairScheme
     /**
      * Fetch-stage handling of a conditional branch: local lookup,
      * override decision against @p tage_dir, checkpointing, and
-     * speculative BHT update. Fills *di.br.
+     * speculative BHT update. Fills *di.br (usedLoop included) and
+     * returns the final direction.
      */
-    virtual PredictOutcome atPredict(DynInst &di, bool tage_dir,
-                                     Cycle now);
+    virtual bool atPredict(DynInst &di, bool tage_dir, Cycle now);
 
     /** True-path fetch hook (oracle maintenance for PerfectRepair). */
     virtual void atTruePathFetch(const DynInst &di) { (void)di; }
@@ -237,7 +231,7 @@ class RepairScheme
     /**
      * True when the checkpointed local state is read and written at
      * the alloc/defer stage rather than at fetch (MultiStage's
-     * BHT-Defer): the LBP_AUDIT record must then be taken after
+     * BHT-Defer): the auditor's record must then be taken after
      * atAlloc(), when di.br->local holds the audited table's lookup.
      */
     virtual bool auditsAtAlloc() const { return false; }

@@ -53,7 +53,8 @@ PerfectRepairScheme::repair(DynInst &, Cycle)
     // Instant, unbounded restore: the shadow table already reflects the
     // architectural path up to and including this branch. It spends no
     // repair port, so it counts no port writes.
-    lp_->restoreBht(oracle_->snapshotBht());
+    oracle_->snapshotBhtInto(oracleSnap_);
+    lp_->restoreBht(oracleSnap_);
     return {.action = Action::Restore, .tableWrites = lp_->bhtEntries()};
 }
 
@@ -267,7 +268,7 @@ SnapshotScheme::checkpoint(DynInst &di, Cycle)
     const std::uint64_t id = ring_.push();
     Snap &s = ring_.at(id);
     s.seq = di.seq;
-    s.data = lp_->snapshotBht();
+    lp_->snapshotBhtInto(s.data);  // refills the slot's own buffer
     di.br->snapId = id;
     di.br->checkpointed = true;
 }
@@ -461,7 +462,7 @@ FutureFileScheme::FutureFileScheme(std::unique_ptr<LocalPredictor> lp,
     lbp_assert(cfg.ffWindow >= 1);
 }
 
-RepairScheme::PredictOutcome
+bool
 FutureFileScheme::atPredict(DynInst &di, bool tage_dir, Cycle)
 {
     BranchRec &br = *di.br;
@@ -498,7 +499,7 @@ FutureFileScheme::atPredict(DynInst &di, bool tage_dir, Cycle)
         br.checkpointed = true;
     }
     logSpecUpdate(di.seq, di.pc);
-    return {br.finalPred, br.usedLoop};
+    return br.finalPred;
 }
 
 RepairOutcome
@@ -551,7 +552,7 @@ MultiStageScheme::MultiStageScheme(std::unique_ptr<LocalPredictor> lp,
     lbp_assert(bhtTage_ != nullptr);
 }
 
-RepairScheme::PredictOutcome
+bool
 MultiStageScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
 {
     BranchRec &br = *di.br;
@@ -569,7 +570,7 @@ MultiStageScheme::atPredict(DynInst &di, bool tage_dir, Cycle now)
     else
         bhtTage_->specUpdate(di.pc, br.finalPred);
 
-    return {br.finalPred, br.usedLoop};
+    return br.finalPred;
 }
 
 RepairScheme::AllocOutcome

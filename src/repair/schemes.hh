@@ -107,6 +107,8 @@ class PerfectRepairScheme : public RepairScheme
 
   private:
     std::unique_ptr<LocalPredictor> oracle_;
+    /** The oracle's BHT image, refilled at every repair. */
+    std::vector<std::uint64_t> oracleSnap_;
 };
 
 /**
@@ -271,8 +273,7 @@ class FutureFileScheme : public RepairScheme
     FutureFileScheme(std::unique_ptr<LocalPredictor> lp,
                      const RepairConfig &cfg);
 
-    PredictOutcome atPredict(DynInst &di, bool tage_dir,
-                             Cycle now) override;
+    bool atPredict(DynInst &di, bool tage_dir, Cycle now) override;
     void atRetire(DynInst &di) override;
     double storageKB() const override;
     unsigned obqOccupancy() const override { return ring_.size(); }
@@ -309,8 +310,7 @@ class MultiStageScheme : public WalkSchemeBase
                      std::unique_ptr<LocalPredictor> bht_tage,
                      bool shared_pt, const RepairConfig &cfg);
 
-    PredictOutcome atPredict(DynInst &di, bool tage_dir,
-                             Cycle now) override;
+    bool atPredict(DynInst &di, bool tage_dir, Cycle now) override;
     AllocOutcome atAlloc(DynInst &di, Cycle now) override;
     void atRetire(DynInst &di) override;
     double storageKB() const override;

@@ -242,9 +242,6 @@ buildFingerprint()
 #endif
         f += ";compiler=";
         f += __VERSION__;
-#ifdef LBP_AUDIT
-        f += ";audit";
-#endif
 #ifdef NDEBUG
         f += ";ndebug";
 #endif

@@ -42,9 +42,9 @@ namespace lbp {
 /**
  * Fingerprint of everything besides (suite, config) that could change
  * a result: the golden-stats fixture hash (behavioral pin), compiler
- * version, and result-relevant build flags (LBP_AUDIT, NDEBUG). Two
- * builds with equal fingerprints produce bit-identical SuiteResults
- * for equal keys.
+ * version, and the one result-relevant build flag (NDEBUG). Two builds
+ * with equal fingerprints produce bit-identical SuiteResults for equal
+ * keys.
  */
 const std::string &buildFingerprint();
 

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
+#include "verify/auditor.hh"
 
 namespace lbp {
 
@@ -16,14 +18,20 @@ runOne(const Program &prog, const SimConfig &cfg)
 {
     OooCore core(prog, cfg);
 
-    // Observability is opt-in per run; the tracer lives on this stack
-    // frame for the core's whole life and only ever *reads* core state,
-    // so attaching it cannot perturb results (test_trace.cc pins
-    // trace-on == trace-off against the golden fixture).
+    // Observability is opt-in per run; the tracer and the auditor live
+    // on this stack frame for the core's whole life and only ever
+    // *read* core state, so attaching them cannot perturb results
+    // (test_trace.cc and test_golden_stats.cc pin attached == detached
+    // against the golden fixture).
     const bool observed = cfg.obs.trace || cfg.obs.forensics;
     PipelineTracer tracer(cfg.obs);
     if (observed)
         core.attachTracer(&tracer);
+    std::optional<SpecStateAuditor> auditor;
+    if (cfg.obs.audit) {
+        lbp_assert(auditableConfig(cfg));
+        core.attachAuditor(&auditor.emplace(core.scheme()->local()));
+    }
 
     core.run(cfg.warmupInstrs);
     const CoreStats at_warm = core.stats();
@@ -65,16 +73,14 @@ runOne(const Program &prog, const SimConfig &cfg)
         r.localKB = scheme->localStorageKB();
         r.repairKB = scheme->storageKB();
     }
-#ifdef LBP_AUDIT
-    if (const AuditorStats *as = core.auditorStats()) {
-        r.auditChecks = as->recoveryChecks + as->retireChecks;
-        r.auditViolations =
-            as->recoveryViolations + as->retireViolations;
-        r.auditResyncs = as->resyncs;
-        r.auditSkipped = as->skipped;
-        r.auditUncovered = as->uncoveredRecoveries;
+    if (auditor) {
+        const AuditorStats &as = auditor->stats();
+        r.auditChecks = as.recoveryChecks + as.retireChecks;
+        r.auditViolations = as.recoveryViolations + as.retireViolations;
+        r.auditResyncs = as.resyncs;
+        r.auditSkipped = as.skipped;
+        r.auditUncovered = as.uncoveredRecoveries;
     }
-#endif
 
     if (observed) {
         auto obs = std::make_shared<ObsRun>(tracer.finish());
@@ -89,6 +95,13 @@ runOne(const Program &prog, const SimConfig &cfg)
         r.obs = std::move(obs);
     }
     return r;
+}
+
+bool
+auditableConfig(const SimConfig &cfg)
+{
+    return cfg.useLocal &&
+           SpecStateAuditor::auditableKind(cfg.repair.kind);
 }
 
 std::string

@@ -52,8 +52,8 @@ struct RunResult
     double avgRepairWrites = 0.0;   ///< mean BHT writes per repair
     double avgRepairCycles = 0.0;   ///< mean cycles a repair occupied
 
-    // Invariant-auditor outcome (LBP_AUDIT builds with an auditable
-    // scheme; all-zero otherwise).
+    // Invariant-auditor outcome (whole run; all-zero unless
+    // SimConfig::obs.audit attached the auditor).
     std::uint64_t auditChecks = 0;      ///< recovery + retire checks
     std::uint64_t auditViolations = 0;  ///< must stay 0
     std::uint64_t auditResyncs = 0;     ///< oracle resyncs after gaps
@@ -79,8 +79,18 @@ struct RunResult
     std::shared_ptr<const ObsRun> obs;
 };
 
-/** Simulate one workload under @p cfg. */
+/**
+ * Simulate one workload under @p cfg. With cfg.obs.audit set, the
+ * invariant auditor rides along and fills the audit_* fields; @p cfg
+ * must then satisfy auditableConfig().
+ */
 RunResult runOne(const Program &prog, const SimConfig &cfg);
+
+/**
+ * Whether @p cfg may run with the auditor attached: a local scheme
+ * whose repair kind SpecStateAuditor::auditableKind() accepts.
+ */
+bool auditableConfig(const SimConfig &cfg);
 
 /** One RunResult per workload, in suite order. */
 struct SuiteResult

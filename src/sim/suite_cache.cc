@@ -38,13 +38,13 @@ configKey(const SimConfig &cfg)
 
     appendField(k, "warm", cfg.warmupInstrs);
     appendField(k, "meas", cfg.measureInstrs);
-    // cfg.obs is deliberately NOT keyed: observability is purely
-    // observational (trace-on results are bit-identical to trace-off),
-    // so keying it would only split the cache. A memoized hit therefore
+    // Of cfg.obs only the audit switch is keyed, because it fills the
+    // audit_* columns; its marker appears only when on, so unaudited
+    // keys are unchanged. The tracing switches are not keyed (trace-on
+    // results are bit-identical to trace-off); a memoized hit therefore
     // carries no ObsRun — callers wanting traces use runSuite directly.
-#ifdef LBP_AUDIT
-    k += "auditBuild;";
-#endif
+    if (cfg.obs.audit)
+        k += "audit;";
 
     const CoreConfig &c = cfg.core;
     k += "core{";

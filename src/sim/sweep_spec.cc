@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "sim/suite_cache.hh"
+#include "verify/auditor.hh"
 #include "workload/suite.hh"
 
 namespace lbp {
@@ -116,6 +117,21 @@ limitedMRange()
            std::to_string(RepairConfig::maxLimitedM) + "]";
 }
 
+std::string
+auditableSchemes()
+{
+    std::string names;
+    for (int k = 0; k <= static_cast<int>(RepairKind::FutureFile); ++k) {
+        const auto kind = static_cast<RepairKind>(k);
+        if (!SpecStateAuditor::auditableKind(kind))
+            continue;
+        if (!names.empty())
+            names += ", ";
+        names += repairKindName(kind);
+    }
+    return names;
+}
+
 bool
 sweepSchemeKind(std::string_view name, RepairKind &kind)
 {
@@ -132,7 +148,7 @@ namespace {
 
 /**
  * Parse one `config` line: scheme name plus optional ports=M-N-P,
- * loop=64|128|256, tage=7|9|57, limited-m=M, coalesce, name=<id>
+ * loop=64|128|256, tage=7|9|57, limited-m=M, coalesce, audit, name=<id>
  * modifiers. Budgets are the spec's current ones.
  */
 bool
@@ -163,6 +179,15 @@ parseConfigLine(std::istringstream &ls, const SweepSpec &spec,
     while (ls >> tok) {
         if (tok == "coalesce") {
             out.cfg.repair.coalesce = true;
+            continue;
+        }
+        if (tok == "audit") {
+            if (!auditableConfig(out.cfg)) {
+                error = "spec: audit wants an auditable scheme (" +
+                        auditableSchemes() + "), got '" + scheme + "'";
+                return false;
+            }
+            out.cfg.obs.audit = true;
             continue;
         }
         const std::size_t eq = tok.find('=');

@@ -100,6 +100,10 @@ std::string repairPortsRange();
 /** What parseLimitedM() accepts, for error messages. */
 std::string limitedMRange();
 
+/** The schemes auditableConfig() accepts, comma-separated, for error
+ *  messages. */
+std::string auditableSchemes();
+
 /**
  * Scheme-name -> RepairKind mapping, the inverse of repairKindName()
  * ("perfect", "forward-walk", ...). False, leaving @p kind untouched,

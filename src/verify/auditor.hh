@@ -1,6 +1,6 @@
 /**
  * @file
- * Debug-mode speculative-state invariant auditor.
+ * Run-time speculative-state invariant auditor.
  *
  * The paper's results stand or fall on the repair schemes restoring
  * wrong-path speculative BHT state *exactly* — a bug here does not
@@ -21,15 +21,16 @@
  *    architectural outcomes of all older same-PC branches, folded with
  *    the speculative updates the auditor knows survived.
  *
- * Both checks are exact for the schemes that claim full repair
- * (perfect, backward-walk, forward-walk — with or without coalescing —
- * and snapshot); coverage gaps those schemes declare by design (OBQ
- * overflow, snapshot eviction, busy-port skips, wrong-path BHT
- * allocations that cannot be rolled back) are tracked and excluded
- * instead of reported, so a clean run means clean state, not a silent
- * checker. The auditor is compiled unconditionally (its own unit tests
- * always run); the *core pipeline hooks* are compiled in only under
- * -DLBP_AUDIT=1 (`cmake -DLBP_AUDIT=ON`).
+ * Both checks are exact for the schemes auditableKind() accepts
+ * (backward-walk, forward-walk — with or without coalescing — snapshot,
+ * limited-pc and multi-stage); coverage gaps those schemes declare by
+ * design (OBQ overflow, snapshot eviction, busy-port skips, wrong-path
+ * BHT allocations that cannot be rolled back, limited-pc's repair set)
+ * are tracked and excluded instead of reported, so a clean run means
+ * clean state, not a silent checker. Every build carries it:
+ * OooCore::attachAuditor() hooks it into the pipeline the way the
+ * tracer attaches, and runOne() does so when SimConfig::obs.audit is
+ * set (`lbpsim --audit`, the `audit` spec modifier).
  */
 
 #ifndef LBP_VERIFY_AUDITOR_HH
@@ -66,8 +67,8 @@ struct AuditorStats
 
 /**
  * The shadow oracle. Wire its three event hooks next to the scheme's
- * pipeline hooks (OooCore does this under LBP_AUDIT; tests drive it
- * directly):
+ * pipeline hooks (an OooCore it is attached to does this; tests drive
+ * it directly):
  *
  *   atPredict   -> onPredict(di)
  *   recover     -> onRecovery(di, live, outcome)

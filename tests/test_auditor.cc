@@ -14,12 +14,9 @@
 
 #include "bpu/loop_predictor.hh"
 #include "repair/schemes.hh"
-#include "verify/auditor.hh"
-
-#ifdef LBP_AUDIT
 #include "sim/runner.hh"
+#include "verify/auditor.hh"
 #include "workload/suite.hh"
-#endif
 
 using namespace lbp;
 
@@ -38,7 +35,7 @@ walkConfig(RepairKind kind, RepairPorts ports = {32, 4, 2})
 
 /**
  * Drives a real scheme and the auditor side by side, exactly as
- * OooCore wires them under LBP_AUDIT.
+ * OooCore's hooks drive an attached auditor.
  */
 class AuditDriver
 {
@@ -73,7 +70,7 @@ class AuditDriver
         di.actualDir = actual;
         scheme_->atPredict(di, tage_dir, now_);
         // MultiStage reads/writes the audited table at the defer/alloc
-        // stage; record afterwards, as OooCore does under LBP_AUDIT.
+        // stage; record afterwards, as OooCore does.
         if (scheme_->auditsAtAlloc())
             scheme_->atAlloc(di, now_);
         auditor_.onPredict(di);
@@ -417,8 +414,6 @@ TEST(Auditor, BrokenMultiStageIsDetected)
     d.retire(cause);
 }
 
-#ifdef LBP_AUDIT
-
 namespace {
 
 /**
@@ -446,19 +441,31 @@ class BrokenWalkScheme : public BackwardWalkScheme
     }
 };
 
-} // namespace
-
-TEST(AuditorIntegration, RealPipelineRunsClean)
+/** A run of @p kind with the auditor attached (SimConfig::obs.audit). */
+SimConfig
+auditedConfig(RepairKind kind)
 {
     SimConfig cfg;
     cfg.warmupInstrs = 20000;
     cfg.measureInstrs = 40000;
     cfg.useLocal = true;
-    cfg.repair.kind = RepairKind::BackwardWalk;
+    cfg.repair.kind = kind;
+    cfg.obs.audit = true;
+    return cfg;
+}
 
-    const Program prog =
-        buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed);
-    const RunResult r = runOne(prog, cfg);
+Program
+serverWorkload()
+{
+    return buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed);
+}
+
+} // namespace
+
+TEST(AuditorIntegration, RealPipelineRunsClean)
+{
+    const RunResult r =
+        runOne(serverWorkload(), auditedConfig(RepairKind::BackwardWalk));
     EXPECT_GT(r.auditChecks, 0u)
         << "the auditor must actually check something";
     EXPECT_EQ(r.auditViolations, 0u);
@@ -466,57 +473,31 @@ TEST(AuditorIntegration, RealPipelineRunsClean)
 
 TEST(AuditorIntegration, LimitedPcPipelineRunsClean)
 {
-    SimConfig cfg;
-    cfg.warmupInstrs = 20000;
-    cfg.measureInstrs = 40000;
-    cfg.useLocal = true;
-    cfg.repair.kind = RepairKind::LimitedPc;
-
-    const Program prog =
-        buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed);
-    const RunResult r = runOne(prog, cfg);
+    const RunResult r =
+        runOne(serverWorkload(), auditedConfig(RepairKind::LimitedPc));
     EXPECT_GT(r.auditChecks, 0u);
     EXPECT_EQ(r.auditViolations, 0u);
 }
 
 TEST(AuditorIntegration, MultiStagePipelineRunsClean)
 {
-    SimConfig cfg;
-    cfg.warmupInstrs = 20000;
-    cfg.measureInstrs = 40000;
-    cfg.useLocal = true;
-    cfg.repair.kind = RepairKind::MultiStage;
-
-    const Program prog =
-        buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed);
-    const RunResult r = runOne(prog, cfg);
+    const RunResult r =
+        runOne(serverWorkload(), auditedConfig(RepairKind::MultiStage));
     EXPECT_GT(r.auditChecks, 0u);
     EXPECT_EQ(r.auditViolations, 0u);
 }
 
 TEST(AuditorIntegration, BrokenRepairSchemeIsDetected)
 {
-    SimConfig cfg;
-    cfg.warmupInstrs = 20000;
-    cfg.measureInstrs = 40000;
-    cfg.useLocal = true;
-    cfg.repair.kind = RepairKind::BackwardWalk;
-
-    const Program prog =
-        buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed);
+    const SimConfig cfg = auditedConfig(RepairKind::BackwardWalk);
+    const Program prog = serverWorkload();
     OooCore core(prog, cfg,
                  std::make_unique<BrokenWalkScheme>(
                      makeLocalPredictor(cfg.repair), cfg.repair));
+    SpecStateAuditor auditor(core.scheme()->local());
+    core.attachAuditor(&auditor);
     core.run(cfg.warmupInstrs + cfg.measureInstrs);
 
-    const AuditorStats *as = core.auditorStats();
-    ASSERT_NE(as, nullptr);
-    EXPECT_GT(as->violations(), 0u)
+    EXPECT_GT(auditor.stats().violations(), 0u)
         << "a repair scheme that never repairs must be flagged";
 }
-
-#else
-
-TEST(AuditorIntegration, DISABLED_RequiresLbpAuditBuild) {}
-
-#endif // LBP_AUDIT

@@ -31,8 +31,8 @@ using namespace lbp;
 
 namespace {
 
-/** One pinned measurement row. Audit counters are compared only in
- *  LBP_AUDIT builds (they are all-zero otherwise). */
+/** One pinned measurement row. The audit counters are those of the
+ *  run with the invariant auditor attached, where it can attach. */
 struct GoldenRun
 {
     const char *config;
@@ -99,6 +99,14 @@ goldenConfigs()
     };
 }
 
+/** @p cfg with the auditor attached wherever it can attach. */
+SimConfig
+withAuditor(SimConfig cfg)
+{
+    cfg.obs.audit = auditableConfig(cfg);
+    return cfg;
+}
+
 std::vector<Program>
 goldenSuite()
 {
@@ -140,6 +148,43 @@ printRow(const GoldenConfig &gc, const RunResult &r)
                 static_cast<unsigned long long>(r.auditViolations));
 }
 
+/**
+ * Compare @p r with its pinned row. The auditor only reads simulation
+ * state, so every other counter matches with it attached or not; the
+ * pinned audit counters are the attached run's, and a detached run
+ * reads zero in every audit column.
+ */
+void
+expectRow(const RunResult &r, const GoldenRun &g, bool attached)
+{
+    EXPECT_EQ(r.stats.cycles, g.cycles);
+    EXPECT_EQ(r.stats.retiredInstrs, g.retiredInstrs);
+    EXPECT_EQ(r.stats.retiredCond, g.retiredCond);
+    EXPECT_EQ(r.stats.mispredicts, g.mispredicts);
+    EXPECT_EQ(r.stats.earlyResteers, g.earlyResteers);
+    EXPECT_EQ(r.stats.wrongPathFetched, g.wrongPathFetched);
+    EXPECT_EQ(r.stats.btbMisses, g.btbMisses);
+    EXPECT_EQ(r.stats.fetchedInstrs, g.fetchedInstrs);
+    EXPECT_EQ(r.overrides, g.overrides);
+    EXPECT_EQ(r.overridesCorrect, g.overridesCorrect);
+    EXPECT_EQ(r.repairs, g.repairs);
+    EXPECT_EQ(r.repairWrites, g.repairWrites);
+    EXPECT_EQ(r.uncheckpointedMispredicts, g.uncheckpointed);
+    EXPECT_EQ(r.deniedPredictions, g.deniedPredictions);
+    EXPECT_EQ(r.skippedSpecUpdates, g.skippedSpecUpdates);
+    EXPECT_EQ(r.cacheAccesses, g.cacheAccesses);
+    EXPECT_EQ(r.cacheMisses, g.cacheMisses);
+    EXPECT_EQ(r.auditChecks, attached ? g.auditChecks : 0u);
+    EXPECT_EQ(r.auditViolations, attached ? g.auditViolations : 0u);
+    if (!attached) {
+        EXPECT_EQ(r.auditResyncs + r.auditSkipped + r.auditUncovered, 0u);
+    }
+    // Derived values follow the counters exactly (same arithmetic,
+    // same order).
+    EXPECT_EQ(r.ipc, r.stats.ipc());
+    EXPECT_EQ(r.mpki, r.stats.mpki());
+}
+
 } // namespace
 
 TEST(GoldenStats, MatchesCommittedFixture)
@@ -157,7 +202,7 @@ TEST(GoldenStats, MatchesCommittedFixture)
             "constexpr GoldenRun goldenRuns[] = {\n");
         for (const GoldenConfig &gc : configs)
             for (const Program &prog : suite)
-                printRow(gc, runOne(prog, gc.cfg));
+                printRow(gc, runOne(prog, withAuditor(gc.cfg)));
         std::printf("};\n");
         GTEST_SKIP() << "fixture regenerated, not compared";
     }
@@ -172,32 +217,15 @@ TEST(GoldenStats, MatchesCommittedFixture)
             ASSERT_EQ(g.workload, prog.name);
             SCOPED_TRACE(std::string(gc.name) + " / " + prog.name);
 
-            const RunResult r = runOne(prog, gc.cfg);
-            EXPECT_EQ(r.stats.cycles, g.cycles);
-            EXPECT_EQ(r.stats.retiredInstrs, g.retiredInstrs);
-            EXPECT_EQ(r.stats.retiredCond, g.retiredCond);
-            EXPECT_EQ(r.stats.mispredicts, g.mispredicts);
-            EXPECT_EQ(r.stats.earlyResteers, g.earlyResteers);
-            EXPECT_EQ(r.stats.wrongPathFetched, g.wrongPathFetched);
-            EXPECT_EQ(r.stats.btbMisses, g.btbMisses);
-            EXPECT_EQ(r.stats.fetchedInstrs, g.fetchedInstrs);
-            EXPECT_EQ(r.overrides, g.overrides);
-            EXPECT_EQ(r.overridesCorrect, g.overridesCorrect);
-            EXPECT_EQ(r.repairs, g.repairs);
-            EXPECT_EQ(r.repairWrites, g.repairWrites);
-            EXPECT_EQ(r.uncheckpointedMispredicts, g.uncheckpointed);
-            EXPECT_EQ(r.deniedPredictions, g.deniedPredictions);
-            EXPECT_EQ(r.skippedSpecUpdates, g.skippedSpecUpdates);
-            EXPECT_EQ(r.cacheAccesses, g.cacheAccesses);
-            EXPECT_EQ(r.cacheMisses, g.cacheMisses);
-#ifdef LBP_AUDIT
-            EXPECT_EQ(r.auditChecks, g.auditChecks);
-            EXPECT_EQ(r.auditViolations, g.auditViolations);
-#endif
-            // Derived values follow the counters exactly (same
-            // arithmetic, same order).
-            EXPECT_EQ(r.ipc, r.stats.ipc());
-            EXPECT_EQ(r.mpki, r.stats.mpki());
+            expectRow(runOne(prog, gc.cfg), g, false);
+            const SimConfig audited = withAuditor(gc.cfg);
+            if (audited.obs.audit) {
+                SCOPED_TRACE("auditor attached");
+                expectRow(runOne(prog, audited), g, true);
+            } else {
+                EXPECT_EQ(g.auditChecks + g.auditViolations, 0u)
+                    << "no auditor attaches to this configuration";
+            }
         }
     }
     EXPECT_EQ(row, nrows) << "fixture has stale extra rows";

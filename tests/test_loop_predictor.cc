@@ -259,10 +259,14 @@ TEST(LoopPredictor, SnapshotRestoreExact)
     LoopPredictor lp;
     for (unsigned i = 0; i < 50; ++i)
         lp.specUpdate(0x400000 + 8 * (i % 10), i % 7 != 0);
-    const auto snap = lp.snapshotBht();
+    std::vector<std::uint64_t> snap;
+    lp.snapshotBhtInto(snap);
 
     for (unsigned i = 0; i < 40; ++i)
         lp.specUpdate(0x500000 + 8 * i, true);  // clobber
+    std::vector<std::uint64_t> again;
+    lp.snapshotBhtInto(again);
+    ASSERT_NE(again, snap);
     lp.restoreBht(snap);
 
     bool present = false;
@@ -271,7 +275,9 @@ TEST(LoopPredictor, SnapshotRestoreExact)
         lp.readState(pc, &present);
         EXPECT_TRUE(present) << "entry " << i << " must be restored";
     }
-    EXPECT_EQ(lp.snapshotBht(), snap);
+    // Refilling a buffer that holds another snapshot overwrites it all.
+    lp.snapshotBhtInto(again);
+    EXPECT_EQ(again, snap);
 }
 
 TEST(LoopPredictor, InvalidateRemovesEntry)
@@ -381,8 +387,13 @@ TEST(TwoLevel, RepairInterfaceParity)
     lp.setAllRepairBits();
     EXPECT_TRUE(lp.testClearRepairBit(0x400a00));
     EXPECT_FALSE(lp.testClearRepairBit(0x400a00));
-    const auto snap = lp.snapshotBht();
+    std::vector<std::uint64_t> snap;
+    lp.snapshotBhtInto(snap);
     lp.specUpdate(0x400a00, false);
+    std::vector<std::uint64_t> again;
+    lp.snapshotBhtInto(again);
+    ASSERT_NE(again, snap);
     lp.restoreBht(snap);
-    EXPECT_EQ(lp.snapshotBht(), snap);
+    lp.snapshotBhtInto(again);
+    EXPECT_EQ(again, snap);
 }

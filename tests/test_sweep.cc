@@ -449,6 +449,42 @@ TEST(Sweep, RepeatedConfigIsSimulatedOnce)
     EXPECT_EQ(cache.entries(), 2u);
 }
 
+// One config audited and unaudited is two store entries: both are
+// simulated once, both come back from the store, and only the audited
+// one carries audit counters.
+TEST(Sweep, AuditedAndUnauditedConfigsAreDistinctStoreEntries)
+{
+    std::vector<Program> suite;
+    suite.push_back(
+        buildWorkload(categoryProfiles()[0], 0, SuiteOptions{}.seed));
+    SimConfig audited = schemeConfig(RepairKind::ForwardWalk);
+    audited.obs.audit = true;
+    const std::vector<SweepConfig> configs = {
+        {"forward-walk", schemeConfig(RepairKind::ForwardWalk)},
+        {"forward-walk-audited", audited},
+    };
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "lbp-sweep-audit";
+    std::filesystem::remove_all(dir);
+    ResultStore store(dir.string());
+
+    for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "cold");
+        SuiteCache cache;
+        SweepOptions opts;
+        opts.jobs = 1;
+        opts.cache = &cache;
+        opts.store = &store;
+        const SweepResult res = runSweep(suite, configs, opts);
+        EXPECT_EQ(res.stats.cellsTotal, 2u);
+        EXPECT_EQ(res.stats.cellsSimulated, warm ? 0u : 2u);
+        EXPECT_EQ(res.stats.cellsStoreHit, warm ? 2u : 0u);
+        EXPECT_EQ(res.configResults[0]->runs[0].auditChecks, 0u);
+        EXPECT_GT(res.configResults[1]->runs[0].auditChecks, 0u);
+        EXPECT_EQ(res.configResults[1]->runs[0].auditViolations, 0u);
+    }
+}
+
 TEST(Sweep, MetricTableNamesUniqueAndBound)
 {
     const auto &table = sweepMetrics();
@@ -614,6 +650,12 @@ TEST(SweepSpec, OutOfRangeModifiersAreSpecErrors)
              "baseline tage=8",
              "baseline tage=7.0",
              "perfect tage= 9",
+             // The auditor attaches only where it can check exactly.
+             "baseline audit",
+             "perfect audit",
+             "no-repair audit",
+             "retire-update audit",
+             "future-file audit",
          }) {
         const std::string text = std::string("config ") + mods;
         SweepSpec spec;
@@ -631,10 +673,11 @@ TEST(SweepSpec, OutOfRangeModifiersAreSpecErrors)
                     "config limited-pc limited-m=16 ports=32-4-4\n"
                     "config forward-walk ports=2-1-1\n"
                     "config snapshot ports=4096-64-64\n"
-                    "config forward-walk loop=256 tage=57\n",
+                    "config forward-walk loop=256 tage=57\n"
+                    "config forward-walk audit\n",
                     spec, err))
         << err;
-    ASSERT_EQ(spec.configs.size(), 5u);
+    ASSERT_EQ(spec.configs.size(), 6u);
     EXPECT_EQ(spec.configs[0].cfg.repair.limitedM, 1u);
     EXPECT_EQ(spec.configs[1].cfg.repair.limitedM,
               RepairConfig::maxLimitedM);
@@ -653,6 +696,21 @@ TEST(SweepSpec, OutOfRangeModifiersAreSpecErrors)
               LoopConfig::entries256().bhtEntries);
     EXPECT_EQ(spec.configs[4].cfg.tage.storageKB(),
               TageConfig::kb57().storageKB());
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_FALSE(spec.configs[i].cfg.obs.audit) << i;
+
+    // `audit` attaches the auditor, and its key is the unaudited key
+    // plus the one marker, so unaudited keys stay as they were.
+    const SimConfig &audited = spec.configs[5].cfg;
+    EXPECT_TRUE(audited.obs.audit);
+    SimConfig plain = audited;
+    plain.obs.audit = false;
+    std::string key = configKey(audited);
+    const std::size_t marker = key.find("audit;");
+    ASSERT_NE(marker, std::string::npos) << key;
+    key.erase(marker, std::string("audit;").size());
+    EXPECT_EQ(key, configKey(plain));
+    EXPECT_EQ(key.find("audit"), std::string::npos) << key;
 }
 
 TEST(SweepSpec, PortAndLimitedMParsersLeaveOutputOnError)

@@ -12,7 +12,8 @@ and fails on:
 
 External links (http/https/mailto) are not fetched — this guards the
 repo's internal cross-references, which are the ones that silently rot
-when files move. Links inside fenced code blocks are ignored.
+when files move. Text inside fenced code blocks and inline code spans
+is not a link in Markdown, so it is ignored.
 
 Usage:
     check_md_links.py <repo_root>
@@ -27,6 +28,7 @@ REF_USE = re.compile(r"\[[^\]]+\]\[([^\]]+)\]")
 REF_DEF = re.compile(r"^\[([^\]]+)\]:\s*(\S+)", re.MULTILINE)
 HEADING = re.compile(r"^(#{1,6})\s+(.+?)\s*#*\s*$")
 FENCE = re.compile(r"^(```|~~~)")
+CODE_SPAN = re.compile(r"(`+)(?:(?!\1).)+?\1")
 
 
 def strip_fences(text):
@@ -97,6 +99,7 @@ def check_file(root, path):
             for m in REF_DEF.finditer(text)}
     targets = []  # (line, target)
     for i, line in enumerate(text.splitlines(), 1):
+        line = CODE_SPAN.sub("", line)
         for m in INLINE_LINK.finditer(line):
             targets.append((i, m.group(1)))
         for m in REF_USE.finditer(line):

@@ -6,12 +6,13 @@
  * configuration and print per-run or aggregated results, optionally as
  * CSV for plotting. Observability flags capture cycle-level pipeline
  * traces, misprediction forensics, and metrics exports (docs/TRACING.md
- * and docs/METRICS.md).
+ * and docs/METRICS.md), and attach the speculative-state auditor.
  *
  *   lbpsim --workload Server:0 --scheme forward-walk --ports 32-4-2
  *   lbpsim --suite 21 --scheme perfect --loop 256 --csv out.csv
  *   lbpsim --workload HPC:1 --scheme forward-walk --trace-out t.json \
  *          --forensics-csv f.csv --top-offenders 10
+ *   lbpsim --suite 8 --scheme snapshot --audit --csv audited.csv
  *   lbpsim --list
  *
  * Flags are one table read by the shared parser (common/cli.hh); each
@@ -109,7 +110,7 @@ bindScheme(SimConfig &cfg)
 }
 
 void
-printRun(const RunResult &r)
+printRun(const RunResult &r, bool audited)
 {
     std::printf("%-22s %-9s IPC %6.3f  MPKI %6.2f  misp %7llu  "
                 "overrides %7llu (%5.1f%% ok)  repairs %6llu\n",
@@ -119,7 +120,7 @@ printRun(const RunResult &r)
                 r.overrides ? 100.0 * r.overridesCorrect / r.overrides
                             : 0.0,
                 static_cast<unsigned long long>(r.repairs));
-    if (r.auditChecks || r.auditViolations) {
+    if (audited) {
         std::printf("  audit: %llu checks, %llu violations, "
                     "%llu resyncs, %llu skipped, %llu uncovered\n",
                     static_cast<unsigned long long>(r.auditChecks),
@@ -327,9 +328,23 @@ main(int argc, char **argv)
             {"--top-offenders", nullptr, "<N>",
              "print the N PCs causing the most squashes",
              cliCount(outputs.topOffenders)},
+            {"--audit", nullptr, nullptr,
+             "attach the invariant auditor (auditable\n"
+             "schemes only): an audit: line per run and\n"
+             "the audit_* CSV columns",
+             cliAssign(cfg.obs.audit, true)},
         }};
     if (const std::optional<int> rc = parseCli(cli, argc, argv))
         return *rc;
+    if (cfg.obs.audit && !auditableConfig(cfg)) {
+        std::fprintf(stderr,
+                     "%s: --audit wants an auditable scheme (%s), "
+                     "got '%s'\n",
+                     kTool, auditableSchemes().c_str(),
+                     cfg.useLocal ? repairKindName(cfg.repair.kind)
+                                  : "baseline");
+        return 1;
+    }
 
     if (list) {
         std::printf("categories (Table 1):\n");
@@ -370,7 +385,7 @@ main(int argc, char **argv)
         Stopwatch sw;
         const RunResult r = runOne(prog, cfg);
         const double wall = sw.seconds();
-        printRun(r);
+        printRun(r, cfg.obs.audit);
         const std::uint64_t sim = r.stats.retiredInstrs + cfg.warmupInstrs;
         std::printf("wall %.2fs, %.2f Msim-instr/s\n", wall,
                     wall > 0.0
@@ -392,7 +407,7 @@ main(int argc, char **argv)
                 resolveJobs(jobs));
     const SuiteResult res = runSuite(suite, cfg, jobs);
     for (const RunResult &r : res.runs)
-        printRun(r);
+        printRun(r, cfg.obs.audit);
 
     // Aggregate footer.
     std::uint64_t misp = 0, instr = 0, cyc = 0;
